@@ -10,15 +10,13 @@ from .data import SortedSample, SurvivalSample, load_csv, sort_sample, write_csv
 from .inference import (
     CensoringKM,
     DegenerateTailWarning,
-    EmpiricalCdf,
     InferenceResult,
     censoring_km,
     compute_psi,
-    empirical_cdf_H,
     sandwich_ci,
 )
 from .km import KMWeightSet, km_weights, lambda_rule
-from .penalized import PenalizedConfig, PenalizedFit, fit_penalized, soft_threshold_step
+from .penalized import PenalizedConfig, fit_penalized, soft_threshold_step
 from .simulation import (
     DESK_PROFILE,
     PAPER_PROFILE,
@@ -29,11 +27,11 @@ from .simulation import (
     generate_sample,
     run_study,
 )
-from .two_step import DEFAULT_TAU0, TwoStepFit, detect_outliers, fit_two_step
+from .two_step import DEFAULT_TAU0, detect_outliers, fit_two_step
 from .wls import (
+    Fit,
     SingularGramError,
     WeightedDesign,
-    WlsFit,
     build_weighted_design,
     stute_fit,
     wls_solve,
@@ -47,26 +45,22 @@ __all__ = [
     "DESK_PROFILE",
     "DegenerateTailWarning",
     "DgpConfig",
-    "EmpiricalCdf",
+    "Fit",
     "InferenceResult",
     "KMWeightSet",
     "MonteCarloReport",
     "PAPER_PROFILE",
     "PenalizedConfig",
-    "PenalizedFit",
     "ReportRow",
     "SingularGramError",
     "SortedSample",
     "StudyProfile",
     "SurvivalSample",
-    "TwoStepFit",
     "WeightedDesign",
-    "WlsFit",
     "build_weighted_design",
     "censoring_km",
     "compute_psi",
     "detect_outliers",
-    "empirical_cdf_H",
     "fit_penalized",
     "fit_two_step",
     "generate_sample",

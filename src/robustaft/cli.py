@@ -120,8 +120,8 @@ def _emit_jsonl(meta, coefficients, outliers, out) -> None:
 
 def cmd_simulate(args) -> int:
     profile = {"desk": DESK_PROFILE, "paper": PAPER_PROFILE}[args.profile]
-    n = args.sample_size or profile.n
-    reps = args.reps or profile.reps
+    n = profile.n if args.sample_size is None else args.sample_size
+    reps = profile.reps if args.reps is None else args.reps
     report = run_study(
         grid=profile.mu_grid,
         reps=reps,

@@ -28,13 +28,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import SortedSample, _frozen
 from .km import KMWeightSet
-from .penalized import PenalizedFit
-from .two_step import TwoStepFit
-from .wls import WlsFit, _solve_gram, build_weighted_design
+from .wls import Fit, _solve_gram, build_weighted_design
 
 # Tail denominators 1 - G(t-) and 1 - H(t) are floored here; sufficient
 # follow-up keeps them away from zero asymptotically but finite samples may
@@ -50,35 +48,23 @@ class DegenerateTailWarning(UserWarning):
 class CensoringKM:
     """Kaplan-Meier estimator of the censoring distribution (delta = 0 is the event).
 
-    ``times`` are the unique observed outcomes, ``cdf`` the right-continuous
-    values G(times[k]) and ``jumps`` the increments.  Use :meth:`eval_left`
-    for the left limit G(t-).
+    ``times`` are the unique observed outcomes and ``cdf`` the
+    right-continuous values G(times[k]).  Use :meth:`eval_left` for the left
+    limit G(t-).
     """
 
     times: np.ndarray
     cdf: np.ndarray
-    jumps: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "times", _frozen(self.times))
         object.__setattr__(self, "cdf", _frozen(self.cdf))
-        object.__setattr__(self, "jumps", _frozen(self.jumps))
 
     def eval_left(self, t):
         """G(t-): the value just before t; 0 at or below the smallest observation."""
         idx = np.searchsorted(self.times, t, side="left")
         padded = np.concatenate(([0.0], self.cdf))
         return padded[idx]
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical distribution of the observed outcomes."""
-
-    sorted_values: np.ndarray
-
-    def __call__(self, t):
-        return np.searchsorted(self.sorted_values, t, side="right") / self.sorted_values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -110,14 +96,7 @@ def censoring_km(sorted_sample: SortedSample) -> CensoringKM:
     surv = np.cumprod(factors)
     times = np.unique(base.y)
     last_in_group = np.searchsorted(base.y, times, side="right") - 1
-    cdf = 1.0 - surv[last_in_group]
-    jumps = np.diff(np.concatenate(([0.0], cdf)))
-    return CensoringKM(times=times, cdf=cdf, jumps=jumps)
-
-
-def empirical_cdf_H(sorted_sample: SortedSample) -> EmpiricalCdf:
-    """Empirical CDF of Y, right-continuous."""
-    return EmpiricalCdf(sorted_values=sorted_sample.base.y)
+    return CensoringKM(times=times, cdf=1.0 - surv[last_in_group])
 
 
 def compute_psi(
@@ -185,54 +164,51 @@ def compute_psi(
     return c + (1 - delta)[:, None] * gamma1 - gamma2
 
 
-def _coef_and_shift(fit, kw: KMWeightSet):
-    if isinstance(fit, PenalizedFit):
-        return fit.beta, fit.alpha
-    if isinstance(fit, TwoStepFit):
-        alpha = np.zeros(kw.w.shape[0])
-        flagged = fit.outliers
-        # flagged indices always carry positive weight
-        alpha[flagged] = fit.alpha_tilde_w[flagged] / kw.sqrt_w[flagged]
-        return fit.beta_tilde, alpha
-    if isinstance(fit, WlsFit):
-        return fit.beta, None
-    raise TypeError(f"unsupported fit type: {type(fit).__name__}")
-
-
 def sandwich_ci(
     sorted_sample: SortedSample,
     kw: KMWeightSet,
-    fit,
+    fit: Fit,
     level: float = 0.95,
-):
+) -> InferenceResult:
     """Sandwich covariance and normal CIs for a weighted, penalized or screened fit.
 
-    Sigma is the mean-centered empirical covariance of the influence vectors;
-    the coefficient covariance is SigmaX^{-1} Sigma SigmaX^{-1} / n.
+    Sigma is the mean-centered empirical covariance of the influence vectors
+    and SigmaX the Gram matrix of the weighted design over the rows whose
+    shift is zero; the coefficient covariance is
+    SigmaX^{-1} Sigma SigmaX^{-1} / n.  Restricting SigmaX to zero-shift rows
+    gives each fit its own normal equations: all rows for the Stute fit, the
+    unclamped rows for the penalized fit (the Huber bread of the l1
+    mean-shift problem) and the unflagged rows for the two-step refit.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    beta, alpha = _coef_and_shift(fit, kw)
-    psi = compute_psi(sorted_sample, kw, beta, alpha)
+    alpha = np.divide(fit.alpha_w, kw.sqrt_w, out=np.zeros(kw.w.shape[0]), where=kw.w > 0)
+    psi = compute_psi(sorted_sample, kw, fit.beta, alpha)
     n = psi.shape[0]
 
     centered = psi - psi.mean(axis=0)
     sigma_hat = centered.T @ centered / n
 
-    design = build_weighted_design(sorted_sample, kw)
-    sigma_x_inv, _ = _solve_gram(design.gram, np.eye(design.gram.shape[0]))
+    unshifted = fit.alpha_w == 0.0
+    xw = np.where(unshifted[:, None], build_weighted_design(sorted_sample, kw).xw, 0.0)
+    sigma_x = xw.T @ xw
+    sigma_x_inv = _solve_gram(
+        sigma_x,
+        np.eye(sigma_x.shape[0]),
+        context=f"sandwich bread over the {int(unshifted.sum())} of {n} rows with zero shift",
+    )
     cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
     cov_beta = (cov_beta + cov_beta.T) / 2.0
 
     std_errors = np.sqrt(np.clip(np.diag(cov_beta), 0.0, None))
-    z = norm.ppf((1.0 + level) / 2.0)
+    z = ndtri((1.0 + level) / 2.0)
     return InferenceResult(
-        beta=np.array(beta),
-        sigma_x_hat=design.gram,
+        beta=np.array(fit.beta),
+        sigma_x_hat=sigma_x,
         sigma_hat=sigma_hat,
         cov_beta=cov_beta,
         std_errors=std_errors,
-        ci_lower=beta - z * std_errors,
-        ci_upper=beta + z * std_errors,
+        ci_lower=fit.beta - z * std_errors,
+        ci_upper=fit.beta + z * std_errors,
         level=float(level),
     )

@@ -27,14 +27,11 @@ class KMWeightSet:
         Elementwise square roots of ``w``.
     pi_uc_hat : float
         Fraction of uncensored observations, mean(delta).
-    max_w : float
-        Largest weight.
     """
 
     w: np.ndarray
     sqrt_w: np.ndarray
     pi_uc_hat: float
-    max_w: float
 
     def __post_init__(self):
         object.__setattr__(self, "w", _frozen(self.w))
@@ -63,7 +60,6 @@ def km_weights(sorted_sample: SortedSample) -> KMWeightSet:
         w=w,
         sqrt_w=np.sqrt(w),
         pi_uc_hat=float(delta.mean()),
-        max_w=float(w.max()),
     )
 
 
@@ -77,6 +73,6 @@ def lambda_rule(n: int, pi_uc_hat: float, lambda0: float) -> float:
         raise ValueError("n must be a positive integer")
     if not 0.0 <= pi_uc_hat <= 1.0:
         raise ValueError("pi_uc_hat must lie in [0, 1]")
-    if lambda0 <= 0:
+    if not lambda0 > 0:
         raise ValueError("lambda0 must be positive")
     return float(n) ** (lambda0 - pi_uc_hat / 2.0)

@@ -12,13 +12,13 @@ step in b, then a closed-form soft-threshold step in aw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SortedSample, _frozen
+from .data import SortedSample
 from .km import KMWeightSet, lambda_rule
-from .wls import build_weighted_design, wls_solve
+from .wls import Fit, build_weighted_design, wls_solve
 
 
 @dataclass(frozen=True)
@@ -37,38 +37,14 @@ class PenalizedConfig:
     lambda_override: float | None = None
 
     def __post_init__(self):
-        if self.lambda0 <= 0:
+        if not self.lambda0 > 0:
             raise ValueError("lambda0 must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
-        if self.lambda_override is not None and self.lambda_override <= 0:
+        if self.lambda_override is not None and not self.lambda_override > 0:
             raise ValueError("lambda_override must be positive")
-
-
-@dataclass(frozen=True)
-class PenalizedFit:
-    """Result of the penalized fit, everything in sorted order.
-
-    ``alpha_w`` holds the sqrt(w)-scaled shifts; ``alpha`` the unscaled ones
-    (zero where w_(i) = 0, where the shift is unidentified and uninfluential).
-    ``objective_trace`` records the objective after each full (b, a) cycle
-    plus a final entry for the reported pair; it is nonincreasing.
-    """
-
-    beta: np.ndarray
-    alpha_w: np.ndarray
-    alpha: np.ndarray
-    lam: float
-    objective_trace: np.ndarray = field(repr=False)
-    iterations: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _frozen(self.beta))
-        object.__setattr__(self, "alpha_w", _frozen(self.alpha_w))
-        object.__setattr__(self, "alpha", _frozen(self.alpha))
-        object.__setattr__(self, "objective_trace", _frozen(self.objective_trace))
 
 
 def soft_threshold_step(residual_w: np.ndarray, lam: float) -> np.ndarray:
@@ -92,7 +68,7 @@ def fit_penalized(
     sorted_sample: SortedSample,
     kw: KMWeightSet,
     cfg: PenalizedConfig = PenalizedConfig(),
-) -> PenalizedFit:
+) -> Fit:
     """Alternating minimization for the l1-penalized weighted regression.
 
     Starts from a = 0 and alternates (1) weighted least squares for b given
@@ -112,7 +88,7 @@ def fit_penalized(
     trace: list[float] = []
     iterations = 0
     for _ in range(cfg.max_iter):
-        beta = wls_solve(design, design.yw - aw).beta
+        beta = wls_solve(design, design.yw - aw)
         resid = design.yw - design.xw @ beta
         aw = soft_threshold_step(resid, lam)
         trace.append(_objective(resid - aw, aw, lam))
@@ -120,15 +96,13 @@ def fit_penalized(
         if cfg.tol > 0 and iterations >= 2 and trace[-2] - trace[-1] < cfg.tol:
             break
 
-    beta = wls_solve(design, design.yw - aw).beta
+    beta = wls_solve(design, design.yw - aw)
     trace.append(_objective(design.yw - design.xw @ beta - aw, aw, lam))
 
-    alpha = np.divide(aw, kw.sqrt_w, out=np.zeros(n), where=kw.w > 0)
-    return PenalizedFit(
+    return Fit(
         beta=beta,
         alpha_w=aw,
-        alpha=alpha,
         lam=float(lam),
-        objective_trace=np.array(trace),
         iterations=iterations,
+        objective_trace=np.array(trace),
     )

@@ -158,25 +158,19 @@ def _run_cell(cfg, estimators, pen_cfg, tau0, level, true_coef, coef_index):
             pen_fit = None
 
     for name in estimators:
+        if name != "stute" and pen_fit is None:
+            results[name] = None
+            continue
         try:
             if name == "stute":
                 fit = stute_fit(ss, kw)
-                estimate = fit.beta[coef_index]
             elif name == "penalized":
-                if pen_fit is None:
-                    raise SingularGramError("penalized fit failed")
                 fit = pen_fit
-                estimate = fit.beta[coef_index]
-            elif name == "two-step":
-                if pen_fit is None:
-                    raise SingularGramError("penalized first step failed")
-                fit = fit_two_step(ss, kw, pen_fit, tau0)
-                estimate = fit.beta_tilde[coef_index]
             else:
-                raise ValueError(f"unknown estimator {name!r}")
+                fit = fit_two_step(ss, kw, pen_fit, tau0)
             inf = sandwich_ci(ss, kw, fit, level)
             covered = bool(inf.ci_lower[coef_index] <= true_coef <= inf.ci_upper[coef_index])
-            results[name] = (float(estimate), covered)
+            results[name] = (float(fit.beta[coef_index]), covered)
         except SingularGramError:
             results[name] = None
     return results
@@ -202,6 +196,8 @@ def run_study(
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
+    if threads < 1:
+        raise ValueError("threads must be a positive integer")
     grid = [float(m) for m in grid]
     estimators = tuple(estimators)
     for name in estimators:

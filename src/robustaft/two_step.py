@@ -8,41 +8,18 @@ bias the l1 penalty imposes on the first-step shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import SortedSample, _frozen
+from .data import SortedSample
 from .km import KMWeightSet
-from .penalized import PenalizedFit
-from .wls import SingularGramError, WeightedDesign, _solve_gram, build_weighted_design
+from .wls import Fit, _solve_gram, build_weighted_design
 
 DEFAULT_TAU0 = 0.3
 
 
-@dataclass(frozen=True)
-class TwoStepFit:
-    """Screened refit in sorted order.
-
-    ``outliers`` holds the 0-based sorted indices with |alpha_w| > tau0;
-    ``alpha_tilde_w`` equals the refit residual yw - xw @ beta_tilde on those
-    indices and is exactly zero elsewhere.
-    """
-
-    beta_tilde: np.ndarray
-    outliers: np.ndarray
-    alpha_tilde_w: np.ndarray
-    tau0: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta_tilde", _frozen(self.beta_tilde))
-        object.__setattr__(self, "outliers", _frozen(np.asarray(self.outliers, dtype=np.int64)))
-        object.__setattr__(self, "alpha_tilde_w", _frozen(self.alpha_tilde_w))
-
-
-def detect_outliers(fit: PenalizedFit, tau0: float = DEFAULT_TAU0) -> np.ndarray:
+def detect_outliers(fit: Fit, tau0: float = DEFAULT_TAU0) -> np.ndarray:
     """Sorted indices i with |alpha_w_(i)| > tau0 (strict), ascending."""
-    if tau0 < 0:
+    if not tau0 >= 0:
         raise ValueError("tau0 must be nonnegative")
     return np.flatnonzero(np.abs(fit.alpha_w) > tau0)
 
@@ -50,9 +27,9 @@ def detect_outliers(fit: PenalizedFit, tau0: float = DEFAULT_TAU0) -> np.ndarray
 def fit_two_step(
     sorted_sample: SortedSample,
     kw: KMWeightSet,
-    fit: PenalizedFit,
+    fit: Fit,
     tau0: float = DEFAULT_TAU0,
-) -> TwoStepFit:
+) -> Fit:
     """Refit the weighted regression on the rows not flagged at level tau0.
 
     Equivalent to the joint least-squares problem where shifts are free on
@@ -67,19 +44,12 @@ def fit_two_step(
     keep[outliers] = False
     xw_kept = np.where(keep[:, None], design.xw, 0.0)
     yw_kept = np.where(keep, design.yw, 0.0)
-    reduced = WeightedDesign(xw=xw_kept, yw=yw_kept, gram=xw_kept.T @ xw_kept)
-    try:
-        beta_tilde, _ = _solve_gram(reduced.gram, reduced.xw.T @ reduced.yw)
-    except SingularGramError as err:
-        raise SingularGramError(
-            f"screened refit is singular after removing {outliers.size} of {n} rows: {err}"
-        ) from None
-
-    alpha_tilde_w = np.zeros(n)
-    alpha_tilde_w[outliers] = (design.yw - design.xw @ beta_tilde)[outliers]
-    return TwoStepFit(
-        beta_tilde=beta_tilde,
-        outliers=outliers,
-        alpha_tilde_w=alpha_tilde_w,
-        tau0=float(tau0),
+    beta = _solve_gram(
+        xw_kept.T @ xw_kept,
+        xw_kept.T @ yw_kept,
+        context=f"screened refit after removing {outliers.size} of {n} rows",
     )
+
+    alpha_w = np.zeros(n)
+    alpha_w[outliers] = (design.yw - design.xw @ beta)[outliers]
+    return Fit(beta=beta, alpha_w=alpha_w, outliers=outliers)

@@ -8,7 +8,7 @@ since p is small and fixed while n dominates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -47,16 +47,35 @@ class WeightedDesign:
 
 
 @dataclass(frozen=True)
-class WlsFit:
-    """Solution of a weighted least-squares problem.
+class Fit:
+    """Coefficients and per-row mean shifts of one estimator, in sorted order.
 
-    ``residuals_w`` is target_w - xw @ beta, and ``gram_condition`` the
-    eigenvalue ratio of the Gram matrix.
+    ``alpha_w`` holds the sqrt(w)-scaled shifts: all zero for the Stute fit,
+    soft-thresholded residuals for the penalized fit, and the refit residual
+    on the ``outliers`` rows (zero elsewhere) for the two-step fit.  ``lam``,
+    ``iterations`` and ``objective_trace`` describe the penalized solve; the
+    trace records the objective after each full (b, a) cycle plus a final
+    entry for the reported pair and is nonincreasing.
     """
 
     beta: np.ndarray
-    residuals_w: np.ndarray
-    gram_condition: float
+    alpha_w: np.ndarray
+    lam: float | None = None
+    iterations: int = 0
+    objective_trace: np.ndarray | None = field(default=None, repr=False)
+    outliers: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    def __post_init__(self):
+        object.__setattr__(self, "beta", _frozen(self.beta))
+        object.__setattr__(self, "alpha_w", _frozen(self.alpha_w))
+        object.__setattr__(self, "outliers", _frozen(np.asarray(self.outliers, dtype=np.int64)))
+        if self.objective_trace is not None:
+            object.__setattr__(self, "objective_trace", _frozen(self.objective_trace))
+
+    @property
+    def beta_tilde(self) -> np.ndarray:
+        """Alias of ``beta``; the paper writes the screened refit as beta-tilde."""
+        return self.beta
 
 
 def build_weighted_design(sorted_sample: SortedSample, kw: KMWeightSet) -> WeightedDesign:
@@ -69,7 +88,7 @@ def build_weighted_design(sorted_sample: SortedSample, kw: KMWeightSet) -> Weigh
     return WeightedDesign(xw=xw, yw=yw, gram=xw.T @ xw)
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, context: str = "") -> tuple[np.ndarray, float]:
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray, context: str = "") -> np.ndarray:
     """Solve gram @ beta = rhs by Cholesky, guarding against singularity."""
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= GRAM_RTOL * max(eigs[-1], 0.0):
@@ -80,20 +99,19 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, context: str = "") -> tuple[n
             "covariates are collinear after weighting"
         )
     c, low = scipy.linalg.cho_factor(gram)
-    return scipy.linalg.cho_solve((c, low), rhs), float(eigs[-1] / eigs[0])
+    return scipy.linalg.cho_solve((c, low), rhs)
 
 
-def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> WlsFit:
-    """Minimize ||target_w - xw @ b||_2^2 over b.
+def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
+    """Coefficients b minimizing ||target_w - xw @ b||_2^2.
 
     Raises SingularGramError when the Gram matrix has a relative eigenvalue
     below GRAM_RTOL.
     """
-    beta, cond = _solve_gram(design.gram, design.xw.T @ target_w)
-    return WlsFit(beta=beta, residuals_w=target_w - design.xw @ beta, gram_condition=cond)
+    return _solve_gram(design.gram, design.xw.T @ target_w)
 
 
-def stute_fit(sorted_sample: SortedSample, kw: KMWeightSet) -> WlsFit:
+def stute_fit(sorted_sample: SortedSample, kw: KMWeightSet) -> Fit:
     """Kaplan-Meier-weighted least squares of Y on X (the non-robust baseline)."""
     design = build_weighted_design(sorted_sample, kw)
-    return wls_solve(design, design.yw)
+    return Fit(beta=wls_solve(design, design.yw), alpha_w=np.zeros(design.yw.shape[0]))

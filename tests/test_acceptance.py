@@ -1,8 +1,7 @@
 """Acceptance gate: one test (and one printed pass/fail line) per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criterion 9 documents a known finite-sample defect of the plug-in
-variance for the penalized fit and currently fails; see its docstring.
+lines.
 """
 
 import itertools
@@ -181,15 +180,13 @@ def test_criterion_8_simulation_determinism(tmp_path):
 def test_criterion_9_variance_calibration():
     """Median plug-in variance of the penalized slope vs its Monte Carlo variance.
 
-    Currently FAILS, and honestly so: with the rule-based penalty the soft
-    threshold clamps most clean residuals at lambda / (2 sqrt(w)), which is
-    about 0.5 sigma at n = 1000.  The plug-in covariance built from the
-    shift-adjusted residuals therefore underestimates, while the clamping
-    simultaneously inflates the estimator's true sampling variance; the two
-    effects push the ratio near 0.15, far outside the +/-30% band.  The
-    mismatch shrinks only at rate n**((1 - pi_uc)/2), so no practical sample
-    size closes it.  The screened refit does not clamp residuals and its
-    plug-in variance is calibrated (see test_inference).
+    With the rule-based penalty the soft threshold clamps many clean
+    residuals.  Profiling out the shifts turns the l1 mean-shift problem into
+    weighted Huber regression with threshold lambda / 2 (She & Owen 2011,
+    JASA): a clamped row's residual is absorbed by its shift, so the row does
+    not move the coefficients, and the sandwich bread is the Gram matrix over
+    the zero-shift rows only.  The full Gram matrix would put the ratio near
+    0.15; with the zero-shift bread it must sit within +/-30% of 1.
     """
     plugins, estimates = [], []
     for rep in range(300):

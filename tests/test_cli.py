@@ -149,6 +149,25 @@ class TestFit:
         assert "collinear" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--reps", "0"], "reps must be at least 2"),
+        (["simulate", "--sample-size", "0"], "n must exceed p"),
+        (["simulate", "--reps", "2", "--sample-size", "60", "--threads", "0"], "threads must be"),
+        (["fit", "{csv}", "--tau0", "nan"], "tau0 must be nonnegative"),
+        (["fit", "{csv}", "--method", "penalized", "--lambda", "nan"], "lambda_override must be"),
+        (["fit", "{csv}", "--lambda0", "nan"], "lambda0 must be positive"),
+    ],
+)
+def test_bad_input_exits_one(capsys, uncensored_csv, argv, message):
+    argv = [uncensored_csv[0] if a == "{csv}" else a for a in argv]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 class TestSimulate:
     def test_fixed_seed_is_deterministic(self, capsys, tmp_path):
         args = [

@@ -7,9 +7,9 @@ from robustaft import (
     DgpConfig,
     PenalizedConfig,
     SurvivalSample,
+    build_weighted_design,
     censoring_km,
     compute_psi,
-    empirical_cdf_H,
     fit_penalized,
     fit_two_step,
     generate_sample,
@@ -49,7 +49,7 @@ class TestCensoringKM:
     def test_left_limit_at_jump_point_is_prejump_value(self):
         ss, _ = prepare([1.0, 2.0, 3.0, 4.0], [1, 0, 0, 1])
         g = censoring_km(ss)
-        jump_times = g.times[g.jumps > 0]
+        jump_times = g.times[np.diff(g.cdf, prepend=0.0) > 0]
         for t in jump_times:
             before = g.cdf[np.searchsorted(g.times, t) - 1] if t > g.times[0] else 0.0
             assert g.eval_left(t) == pytest.approx(before, abs=1e-15)
@@ -60,22 +60,6 @@ class TestCensoringKM:
         g = censoring_km(ss)
         assert np.all(np.diff(g.cdf) >= -1e-15)
         assert np.all((g.cdf >= 0.0) & (g.cdf <= 1.0))
-
-
-class TestEmpiricalCdf:
-    def test_spot_values(self):
-        ss, _ = prepare([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1])
-        h = empirical_cdf_H(ss)
-        assert h(0.5) == 0.0
-        assert h(2.0) == 0.5
-        assert h(4.0) == 1.0
-        assert h(9.0) == 1.0
-
-    def test_right_continuity_with_ties(self):
-        ss, _ = prepare([1.0, 1.0, 2.0], [1, 1, 1])
-        h = empirical_cdf_H(ss)
-        assert h(1.0) == pytest.approx(2.0 / 3.0)
-        assert h(1.0 - 1e-12) == 0.0
 
 
 class TestComputePsi:
@@ -182,19 +166,18 @@ class TestSandwichCi:
         pen = fit_penalized(ss, kw)
         two = fit_two_step(ss, kw, pen)
         assert two.outliers.size == 1
-        from robustaft.inference import _coef_and_shift
-
-        beta, alpha = _coef_and_shift(two, kw)
-        xi = ss.base.y - ss.base.x @ beta - alpha
+        alpha = two.alpha_w / kw.sqrt_w  # uncensored, so every weight is positive
+        xi = ss.base.y - ss.base.x @ two.beta - alpha
         assert abs(xi[two.outliers[0]]) < 1e-10
+        # the bread is the refit's own Gram matrix: unflagged rows only
+        kept = np.delete(build_weighted_design(ss, kw).xw, two.outliers, axis=0)
+        assert np.allclose(sandwich_ci(ss, kw, two).sigma_x_hat, kept.T @ kept, rtol=1e-12)
 
     def test_level_validation_and_fit_type(self):
         ss, kw = prepare([1.0, 2.0, 3.0], [1, 1, 1])
         fit = stute_fit(ss, kw)
         with pytest.raises(ValueError):
             sandwich_ci(ss, kw, fit, level=1.0)
-        with pytest.raises(TypeError):
-            sandwich_ci(ss, kw, object())
 
 
 def test_plugin_variance_calibrated_for_screened_fit():
@@ -214,6 +197,6 @@ def test_plugin_variance_calibrated_for_screened_fit():
             pen = fit_penalized(ss, kw, PenalizedConfig())
             two = fit_two_step(ss, kw, pen)
             assert two.outliers.size == 0
-            assert np.array_equal(two.beta_tilde, fit.beta)
+            assert np.array_equal(two.beta, fit.beta)
     ratio = np.median(plugins) / np.var(estimates)
     assert 0.7 <= ratio <= 1.3

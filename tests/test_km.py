@@ -29,7 +29,6 @@ def test_hand_example_with_one_censored():
     assert np.allclose(kw.w, [0.25, 0.0, 0.375, 0.375], atol=1e-15)
     assert abs(kw.w.sum() - 1.0) < 1e-15
     assert kw.pi_uc_hat == 0.75
-    assert kw.max_w == 0.375
 
 
 def test_sqrt_weights():
@@ -106,3 +105,5 @@ class TestLambdaRule:
             lambda_rule(10, 1.5, 1e-4)
         with pytest.raises(ValueError):
             lambda_rule(10, 0.5, 0.0)
+        with pytest.raises(ValueError, match="lambda0 must be positive"):
+            lambda_rule(10, 0.5, float("nan"))

@@ -3,6 +3,7 @@ import pytest
 
 from robustaft import (
     DEFAULT_TAU0,
+    Fit,
     PenalizedConfig,
     SingularGramError,
     SurvivalSample,
@@ -14,7 +15,6 @@ from robustaft import (
     sort_sample,
     stute_fit,
 )
-from robustaft.penalized import PenalizedFit
 from oracles import joint_screened_beta, random_instance
 
 
@@ -24,16 +24,7 @@ def prepare(sample):
 
 
 def fake_fit(alpha_w):
-    alpha_w = np.asarray(alpha_w, dtype=float)
-    n = alpha_w.shape[0]
-    return PenalizedFit(
-        beta=np.zeros(1),
-        alpha_w=alpha_w,
-        alpha=alpha_w,
-        lam=1.0,
-        objective_trace=np.array([0.0]),
-        iterations=1,
-    )
+    return Fit(beta=np.zeros(1), alpha_w=np.asarray(alpha_w, dtype=float))
 
 
 class TestDetect:
@@ -74,8 +65,8 @@ class TestFitTwoStep:
         pen = fit_penalized(ss, kw, PenalizedConfig(lambda_override=1e16))
         fit = fit_two_step(ss, kw, pen)
         assert fit.outliers.size == 0
-        assert np.array_equal(fit.beta_tilde, stute_fit(ss, kw).beta)
-        assert np.all(fit.alpha_tilde_w == 0.0)
+        assert np.array_equal(fit.beta, stute_fit(ss, kw).beta)
+        assert np.all(fit.alpha_w == 0.0)
 
     def test_matches_manual_row_exclusion(self):
         rng = np.random.default_rng(33)
@@ -92,7 +83,7 @@ class TestFitTwoStep:
             y=np.delete(y, 7), delta=np.ones(29, dtype=int), x=np.delete(x, 7, axis=0)
         )
         css, ckw = prepare(cleaned)
-        assert np.allclose(fit.beta_tilde, stute_fit(css, ckw).beta, atol=1e-10)
+        assert np.allclose(fit.beta, stute_fit(css, ckw).beta, atol=1e-10)
 
     def test_alpha_tilde_is_refit_residual_on_flagged_rows(self):
         rng = np.random.default_rng(34)
@@ -102,11 +93,11 @@ class TestFitTwoStep:
             pen = fit_penalized(ss, kw)
             fit = fit_two_step(ss, kw, pen)
             d = build_weighted_design(ss, kw)
-            resid = d.yw - d.xw @ fit.beta_tilde
+            resid = d.yw - d.xw @ fit.beta
             mask = np.zeros(sample.n, dtype=bool)
             mask[fit.outliers] = True
-            assert np.all(fit.alpha_tilde_w[~mask] == 0.0)
-            assert np.max(np.abs(fit.alpha_tilde_w[mask] - resid[mask]), initial=0.0) < 1e-10
+            assert np.all(fit.alpha_w[~mask] == 0.0)
+            assert np.max(np.abs(fit.alpha_w[mask] - resid[mask]), initial=0.0) < 1e-10
 
     def test_equals_joint_minimization_oracle(self):
         rng = np.random.default_rng(35)
@@ -119,7 +110,7 @@ class TestFitTwoStep:
                 continue
             d = build_weighted_design(ss, kw)
             oracle = joint_screened_beta(d.xw, d.yw, fit.outliers.tolist())
-            assert np.allclose(fit.beta_tilde, oracle, atol=1e-9)
+            assert np.allclose(fit.beta, oracle, atol=1e-9)
 
     def test_singular_refit_reports_counts(self):
         # second covariate only lives on the two rows that are flagged, so
