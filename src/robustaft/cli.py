@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="desk: n=500, 200 reps, mu in {2,3,4,5}; paper: n=1000, 1000 reps, mu grid 2:0.1:5",
     )
     sim.add_argument("--seed", type=int, default=0, help="study seed")
-    sim.add_argument("--threads", type=int, default=1, help="worker threads")
+    sim.add_argument("--threads", type=int, default=1, help="worker threads, at most one per CPU")
     sim.add_argument("--output", default="-", help="report CSV path ('-' for stdout)")
     sim.add_argument("--reps", type=int, default=None, help="override the profile's replication count")
     sim.add_argument(

@@ -20,6 +20,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _memo(obj, key: tuple, make):
+    """``make()``, computed once and kept on the frozen ``obj``; if it raises, nothing is kept."""
+    if key not in obj.__dict__:
+        obj.__dict__[key] = make()
+    return obj.__dict__[key]
+
+
 @dataclass(frozen=True)
 class SurvivalSample:
     """Right-censored regression sample.
@@ -56,7 +63,7 @@ class SurvivalSample:
             raise ValueError(f"n must exceed p (got n={n}, p={p})")
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
             raise ValueError("y and x entries must be finite")
-        if not np.all(np.isin(delta, (0, 1))):
+        if not ((delta == 0) | (delta == 1)).all():
             raise ValueError("delta entries must be 0 or 1")
         object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "delta", _frozen(delta.astype(np.int64)))
@@ -86,6 +93,18 @@ class SortedSample:
 
     def __post_init__(self):
         object.__setattr__(self, "perm", _frozen(np.asarray(self.perm, dtype=np.int64)))
+
+    def tie_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(group, first, stop)``: sorted row i lies in tie group ``group[i]``, which
+        spans rows ``first[g]:stop[g]``; found once per sample from the runs of equal y."""
+        return _memo(self, ("tie_groups",), lambda: _runs(self.base.y))
+
+
+def _runs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    stop = np.append(first[1:], y.shape[0])
+    group = np.repeat(np.arange(first.shape[0]), stop - first)
+    return _frozen(group), _frozen(first), _frozen(stop)
 
 
 def sort_sample(sample: SurvivalSample) -> SortedSample:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .data import SortedSample, _frozen
+from .data import SortedSample, _frozen, _memo
 from .km import KMWeightSet
 from .wls import Fit, _solve_gram, build_weighted_design
 
@@ -94,9 +94,21 @@ def censoring_km(sorted_sample: SortedSample) -> CensoringKM:
     # survival factor ((n-j)/(n-j+1)) ** (1 - delta_(j)) at sorted position j
     factors = np.where(base.delta == 0, (n - 1 - idx) / (n - idx), 1.0)
     surv = np.cumprod(factors)
-    times = np.unique(base.y)
-    last_in_group = np.searchsorted(base.y, times, side="right") - 1
-    return CensoringKM(times=times, cdf=1.0 - surv[last_in_group])
+    _, first, stop = sorted_sample.tie_groups()
+    return CensoringKM(times=base.y[first], cdf=1.0 - surv[stop - 1])
+
+
+def _tail_terms(sorted_sample: SortedSample, floor: float) -> tuple:
+    """Sample-only part of psi: the tie groups, each row's floored 1 - G(Y-), each
+    group's floored 1 - H and the floored count."""
+    delta, n = sorted_sample.base.delta, sorted_sample.base.n
+    group, first, stop = sorted_sample.tie_groups()
+    denom_g = 1.0 - censoring_km(sorted_sample).eval_left(sorted_sample.base.y)
+    surv_h = (n - stop) / n  # 1 - H(Y) on each group
+    # gamma2 uses the censored rows below the top group
+    floored_h = (delta == 0) & (stop[group] < n) & (surv_h[group] < floor)
+    n_floored = int(((denom_g < floor) & (delta == 1)).sum() + floored_h.sum())
+    return group, first, stop, np.maximum(denom_g, floor), np.maximum(surv_h, floor), n_floored
 
 
 def compute_psi(
@@ -111,6 +123,11 @@ def compute_psi(
     xi_(i) = Y_(i) - X_(i)' beta - alpha_(i); pass None for a fit without
     shift parameters.  Emits DegenerateTailWarning when any used tail
     denominator falls below DENOM_FLOOR (it is floored, not propagated).
+
+    Per sample, computed by the first call and kept on the sorted sample: the
+    tie groups, the censoring KM fit and G(Y_(i)-), the floored 1 - G and
+    1 - H denominators and the floored count.  Per fit, on every call: the
+    summands c, two cumulative sums and the gathers from tie groups to rows.
     """
     base = sorted_sample.base
     y, delta, x = base.y, base.delta, base.x
@@ -118,50 +135,40 @@ def compute_psi(
     if alpha is None:
         alpha = np.zeros(n)
     xi = y - x @ beta - np.asarray(alpha, dtype=float)
+    floor = DENOM_FLOOR  # part of the key, so a changed floor builds its own terms
+    tails = _memo(sorted_sample, ("psi", floor), lambda: _tail_terms(sorted_sample, floor))
+    group, first, stop, denom_g, denom_h, n_floored = tails
 
-    g_left = censoring_km(sorted_sample).eval_left(y)
-    denom_g = 1.0 - g_left
-    floored_g = (denom_g < DENOM_FLOOR) & (delta == 1)
-    denom_g = np.maximum(denom_g, DENOM_FLOOR)
-
+    # everything below is (p, rows) or (p, groups), so each pass runs along the long axis
     # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-))
-    c = x * (delta * xi / denom_g)[:, None]
+    c = x.T * (delta * xi / denom_g)
 
-    # tie-group boundaries; y is sorted so strict comparisons reduce to slices
-    lo = np.searchsorted(y, y, side="left")
-    hi = np.searchsorted(y, y, side="right")
+    # y is sorted, so strict comparisons reduce to tie-group slices
+    csuf = np.zeros((p, n + 1))
+    np.cumsum(c[:, ::-1], axis=1, out=csuf[:, n - 1 :: -1])  # csuf[:, i] = sum of c[:, i:]
+    s_strict = csuf[:, stop]  # per group: sum of c over {m : Y_(m) > Y}
 
-    csuf = np.zeros((n + 1, p))
-    csuf[:n] = np.cumsum(c[::-1], axis=0)[::-1]
-    s_strict = csuf[hi]  # sum of c over {m : Y_(m) > Y_(i)}
+    gamma1 = s_strict / (n * denom_h)
+    # gamma2 sums censored rows strictly below the evaluation point: a censored row
+    # adds its group's term, any other row the top group's, which is zero
+    terms = np.take(s_strict / denom_h**2, np.where(delta == 0, group, len(stop) - 1), 1)
+    dpre = csuf  # the suffix sums are spent: reuse their buffer for the prefix sums
+    dpre[:, 0] = 0.0
+    np.cumsum(terms, axis=1, out=dpre[:, 1:])
+    gamma2 = dpre[:, first] / n**2
+    del csuf, s_strict, terms, dpre  # free them before the output's temporaries
 
-    surv_h = (n - hi) / n  # 1 - H(Y_(i))
-    denom_h = np.maximum(surv_h, DENOM_FLOOR)
-    nonempty = hi < n
-
-    gamma1 = np.zeros((n, p))
-    gamma1[nonempty] = s_strict[nonempty] / (n * denom_h[nonempty][:, None])
-
-    # gamma2 accumulates censored observations strictly below the evaluation
-    # point; members of the top tie group never qualify
-    used_j = (delta == 0) & nonempty
-    floored_h = used_j & (surv_h < DENOM_FLOOR)
-    d = np.zeros((n, p))
-    d[used_j] = s_strict[used_j] / (denom_h[used_j][:, None] ** 2)
-    dpre = np.zeros((n + 1, p))
-    dpre[1:] = np.cumsum(d, axis=0)
-    gamma2 = dpre[lo] / n**2
-
-    n_floored = int(floored_g.sum() + floored_h.sum())
     if n_floored:
         warnings.warn(
-            f"{n_floored} tail denominator(s) below {DENOM_FLOOR:g} floored; "
+            f"{n_floored} tail denominator(s) below {floor:g} floored; "
             "variance estimates near the censoring tail are unreliable",
             DegenerateTailWarning,
             stacklevel=2,
         )
 
-    return c + (1 - delta)[:, None] * gamma1 - gamma2
+    psi = np.empty((n, p))  # filled through its (p, n) transpose
+    np.subtract(c + (1 - delta) * np.take(gamma1, group, 1), np.take(gamma2, group, 1), out=psi.T)
+    return psi
 
 
 def sandwich_ci(
@@ -190,13 +197,12 @@ def sandwich_ci(
     sigma_hat = centered.T @ centered / n
 
     unshifted = fit.alpha_w == 0.0
-    xw = np.where(unshifted[:, None], build_weighted_design(sorted_sample, kw).xw, 0.0)
+    design = build_weighted_design(sorted_sample, kw)
+    xw = np.where(unshifted[:, None], design.xw, 0.0)
     sigma_x = xw.T @ xw
-    sigma_x_inv = _solve_gram(
-        sigma_x,
-        np.eye(sigma_x.shape[0]),
-        context=f"sandwich bread over the {int(unshifted.sum())} of {n} rows with zero shift",
-    )
+    owner = design if unshifted.all() else None  # no shifts: reuse the design's factor
+    context = f"sandwich bread over the {int(unshifted.sum())} of {n} rows with zero shift"
+    sigma_x_inv = _solve_gram(sigma_x, np.eye(sigma_x.shape[0]), context, owner)
     cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
     cov_beta = (cov_beta + cov_beta.T) / 2.0
 

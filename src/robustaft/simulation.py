@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -189,10 +190,10 @@ def run_study(
 ) -> MonteCarloReport:
     """Run the replication study over a censoring-intensity grid.
 
-    Replications are independent; cells are dispatched to ``threads`` workers
-    and merged in (mu, replication) order, so the report does not depend on
-    the thread count.  Replications hitting a singular Gram matrix are
-    excluded from the affected estimator's row and counted as failures.
+    Replications are independent; cells go to ``threads`` workers (capped at
+    the CPU and cell counts) and are merged in (mu, replication) order, so the
+    report does not depend on the thread count.  Replications hitting a singular
+    Gram matrix are excluded from the affected estimator's row and counted as failures.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
@@ -216,8 +217,9 @@ def run_study(
         i, j, cfg = cell
         return i, j, _run_cell(cfg, estimators, pen_cfg, tau0, level, true_coef, coef_index)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(cells))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(work, cells))
     else:
         outcomes = [work(cell) for cell in cells]

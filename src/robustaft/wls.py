@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .data import SortedSample, _frozen
+from .data import SortedSample, _frozen, _memo
 from .km import KMWeightSet
 
 # Relative eigenvalue cutoff below which the Gram matrix is treated as singular.
@@ -79,27 +79,37 @@ class Fit:
 
 
 def build_weighted_design(sorted_sample: SortedSample, kw: KMWeightSet) -> WeightedDesign:
-    """Scale rows of the sorted design and outcome by sqrt(w) and accumulate the Gram matrix."""
+    """Scale rows of the sorted design and outcome by sqrt(w) and accumulate the Gram
+    matrix; built once per (sorted_sample, kw) pair and kept on the sample."""
     base = sorted_sample.base
     if kw.w.shape[0] != base.n:
         raise ValueError("weight vector length does not match the sample")
-    xw = base.x * kw.sqrt_w[:, None]
-    yw = base.y * kw.sqrt_w
-    return WeightedDesign(xw=xw, yw=yw, gram=xw.T @ xw)
+
+    def build():
+        xw = base.x * kw.sqrt_w[:, None]
+        return kw, WeightedDesign(xw=xw, yw=base.y * kw.sqrt_w, gram=xw.T @ xw)
+
+    # the entry holds kw, so its id is not reused while the entry lives
+    return _memo(sorted_sample, ("design", id(kw)), build)[1]
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, context: str = "") -> np.ndarray:
-    """Solve gram @ beta = rhs by Cholesky, guarding against singularity."""
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= GRAM_RTOL * max(eigs[-1], 0.0):
-        detail = f" ({context})" if context else ""
-        raise SingularGramError(
-            f"weighted Gram matrix is singular{detail}: smallest eigenvalue "
-            f"{eigs[0]:.3e} <= {GRAM_RTOL:g} * largest {eigs[-1]:.3e}; "
-            "covariates are collinear after weighting"
-        )
-    c, low = scipy.linalg.cho_factor(gram)
-    return scipy.linalg.cho_solve((c, low), rhs)
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray, context: str = "", owner=None) -> np.ndarray:
+    """Solve gram @ beta = rhs by Cholesky, guarding against singularity; the factor
+    is kept on ``owner`` (the design whose Gram this is), if given, unless singular."""
+
+    def factor():
+        eigs = np.linalg.eigvalsh(gram)
+        if eigs[0] <= GRAM_RTOL * max(eigs[-1], 0.0):
+            detail = f" ({context})" if context else ""
+            raise SingularGramError(
+                f"weighted Gram matrix is singular{detail}: smallest eigenvalue "
+                f"{eigs[0]:.3e} <= {GRAM_RTOL:g} * largest {eigs[-1]:.3e}; "
+                "covariates are collinear after weighting"
+            )
+        return scipy.linalg.cho_factor(gram)
+
+    cho = factor() if owner is None else _memo(owner, ("cholesky",), factor)
+    return scipy.linalg.cho_solve(cho, rhs)
 
 
 def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
@@ -108,7 +118,7 @@ def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
     Raises SingularGramError when the Gram matrix has a relative eigenvalue
     below GRAM_RTOL.
     """
-    return _solve_gram(design.gram, design.xw.T @ target_w)
+    return _solve_gram(design.gram, design.xw.T @ target_w, owner=design)
 
 
 def stute_fit(sorted_sample: SortedSample, kw: KMWeightSet) -> Fit:

@@ -52,6 +52,26 @@ class TestSort:
         ss = sort_sample(s)
         assert np.array_equal(ss.perm, [0, 1, 2])
 
+    def test_tie_groups_match_searchsorted(self):
+        rng = np.random.default_rng(6)
+        cases = [
+            # -0.0 and 0.0 compare equal, so they share one group
+            ([0.0, -1.0, 2.0, -0.0, 0.5, 0.0, 0.5, 2.0], [1, 0, 0, 0, 1, 1, 0, 1]),
+            ([3.0] * 6, [0, 1, 1, 0, 1, 0]),
+            (np.arange(7.0), [1] * 7),
+        ] + [
+            (np.round(rng.normal(size=40) * 2.0) / 2.0, (rng.random(40) < 0.6).astype(int))
+            for _ in range(5)
+        ]
+        for y, delta in cases:
+            ss = sort_sample(make_sample(y, delta))
+            ys = ss.base.y
+            group, first, stop = ss.tie_groups()
+            assert np.array_equal(first[group], np.searchsorted(ys, ys, side="left"))
+            assert np.array_equal(stop[group], np.searchsorted(ys, ys, side="right"))
+            assert np.array_equal(ys[first], np.unique(ys))
+            assert np.array_equal(group, np.repeat(np.arange(first.size), stop - first))
+
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         s = make_sample(rng.normal(size=20), (rng.random(20) < 0.6).astype(int))

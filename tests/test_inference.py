@@ -24,6 +24,23 @@ from oracles import psi_double_loop, random_instance
 Z_975 = 1.959963984540054
 
 
+def tied_instance(rng, n):
+    """A random sample with y on a 0.5 grid, so failures tie with censorings,
+    and every row at or above the 80% quantile tied in the top group."""
+    sample = random_instance(rng, n=n)
+    y = np.round(sample.y * 2.0) / 2.0
+    return SurvivalSample(y=np.minimum(y, np.quantile(y, 0.8)), delta=sample.delta, x=sample.x)
+
+
+def censoring_km_direct(y, delta):
+    """(times, cdf) of the censoring KM by np.unique and searchsorted on sorted y."""
+    n = len(y)
+    idx = np.arange(n, dtype=float)
+    surv = np.cumprod(np.where(delta == 0, (n - 1 - idx) / (n - idx), 1.0))
+    times = np.unique(y)
+    return times, 1.0 - surv[np.searchsorted(y, times, side="right") - 1]
+
+
 def prepare(y, delta, x=None):
     y = np.asarray(y, dtype=float)
     x = np.ones((len(y), 1)) if x is None else np.asarray(x, dtype=float)
@@ -53,6 +70,15 @@ class TestCensoringKM:
         for t in jump_times:
             before = g.cdf[np.searchsorted(g.times, t) - 1] if t > g.times[0] else 0.0
             assert g.eval_left(t) == pytest.approx(before, abs=1e-15)
+
+    def test_tied_samples_match_direct_construction(self):
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            ss = sort_sample(tied_instance(rng, n=int(rng.integers(10, 60))))
+            g = censoring_km(ss)
+            times, cdf = censoring_km_direct(ss.base.y, ss.base.delta)
+            assert np.array_equal(g.times, times)
+            assert np.array_equal(g.cdf, cdf)
 
     def test_cdf_monotone_in_unit_interval(self):
         rng = np.random.default_rng(41)
@@ -96,12 +122,27 @@ class TestComputePsi:
             oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
             assert np.max(np.abs(ours - oracle)) < 1e-12
 
+    def test_tied_instances_match_double_loop(self):
+        rng = np.random.default_rng(50)
+        for _ in range(12):
+            sample = tied_instance(rng, n=int(rng.integers(10, 30)))
+            ss = sort_sample(sample)
+            kw = km_weights(ss)
+            beta = rng.normal(size=sample.p)
+            alpha = np.where(rng.random(sample.n) < 0.15, rng.normal(size=sample.n) * 4.0, 0.0)
+            ours = compute_psi(ss, kw, beta, alpha)
+            oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
+            assert np.max(np.abs(ours - oracle)) < 1e-12
+
     def test_floor_warning_fires_when_tail_degenerates(self, monkeypatch):
+        ss, kw = prepare([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
+        warm, _ = prepare([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
+        compute_psi(warm, kw, np.zeros(1))  # keeps the sample-only terms for the default floor
         # raise the floor so realistic denominators trip it
         monkeypatch.setattr(inference_mod, "DENOM_FLOOR", 0.9)
-        ss, kw = prepare([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
-        with pytest.warns(DegenerateTailWarning):
-            compute_psi(ss, kw, np.zeros(1))
+        for sample in (ss, warm):
+            with pytest.warns(DegenerateTailWarning):
+                compute_psi(sample, kw, np.zeros(1))
 
     def test_no_warning_on_clean_data(self):
         rng = np.random.default_rng(44)
@@ -172,6 +213,29 @@ class TestSandwichCi:
         # the bread is the refit's own Gram matrix: unflagged rows only
         kept = np.delete(build_weighted_design(ss, kw).xw, two.outliers, axis=0)
         assert np.allclose(sandwich_ci(ss, kw, two).sigma_x_hat, kept.T @ kept, rtol=1e-12)
+
+    def test_same_bits_first_or_third_and_on_a_fresh_sort(self):
+        raw = generate_sample(DgpConfig(n=400, mu=2.0, seed=_cell_seed(3, 0, 1)))
+        sample = SurvivalSample(y=np.round(raw.y, 1), delta=raw.delta, x=raw.x)
+        ss = sort_sample(sample)
+        kw = km_weights(ss)
+        pen = fit_penalized(ss, kw)
+        fits = [stute_fit(ss, kw), pen, fit_two_step(ss, kw, pen)]
+        assert fits[2].outliers.size > 0  # all three breads differ
+
+        def bits(inf):
+            return [a.tobytes() for a in (inf.sigma_x_hat, inf.sigma_hat, inf.cov_beta,
+                                          inf.ci_lower, inf.ci_upper)]
+
+        forward = [bits(sandwich_ci(ss, kw, fit)) for fit in fits]
+        ss_back = sort_sample(sample)
+        kw_back = km_weights(ss_back)
+        backward = [bits(sandwich_ci(ss_back, kw_back, fit)) for fit in fits[::-1]][::-1]
+        alone = []
+        for fit in fits:
+            fresh = sort_sample(sample)
+            alone.append(bits(sandwich_ci(fresh, km_weights(fresh), fit)))
+        assert forward == backward == alone
 
     def test_level_validation_and_fit_type(self):
         ss, kw = prepare([1.0, 2.0, 3.0], [1, 1, 1])

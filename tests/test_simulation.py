@@ -1,16 +1,22 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import robustaft.inference as inference_mod
+import robustaft.simulation as simulation
 from robustaft import (
+    DEFAULT_TAU0,
     DESK_PROFILE,
     PAPER_PROFILE,
     DgpConfig,
+    PenalizedConfig,
     generate_sample,
     run_study,
 )
-from robustaft.simulation import _cell_seed
+from robustaft.simulation import ESTIMATORS, _cell_seed
 
 
 class TestGenerate:
@@ -97,6 +103,35 @@ class TestRunStudy:
             other.to_csv(buf_b)
             assert buf_a.getvalue() == buf_b.getvalue()
 
+    @pytest.mark.parametrize("cpus, created", [(3, [3]), (64, [4]), (None, [])])
+    def test_thread_pool_is_capped_by_cpus_and_cells(self, monkeypatch, cpus, created):
+        seen = []
+
+        class SerialPool:
+            """Records the requested pool size and runs the cells in this thread."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+        kwargs = dict(grid=[2.5, 4.5], reps=2, base_cfg=DgpConfig(n=60, seed=4))
+        capped = run_study(threads=10**6, **kwargs)
+        assert seen == created  # 4 cells; no cpu count means one worker, no pool
+        buf_a, buf_b = io.StringIO(), io.StringIO()
+        capped.to_csv(buf_a)
+        run_study(threads=1, **kwargs).to_csv(buf_b)
+        assert buf_a.getvalue() == buf_b.getvalue()
+
     def test_row_lookup(self):
         report = run_study([3.0], reps=2, base_cfg=DgpConfig(n=60, seed=4))
         assert report.row("stute", 3.0).estimator == "stute"
@@ -127,6 +162,33 @@ class TestDeskStudy:
 
     def test_no_failures(self, desk_study):
         assert desk_study.failures == 0
+
+
+def test_one_cell_shares_gram_factors_and_the_censoring_km(monkeypatch):
+    """One design factor serves the Stute fit, the 11 penalized solves and the
+    Stute bread, so a cell checks and factors at most 4 Gram matrices (the
+    penalized bread, the screened refit and its bread are the others), and the
+    three sandwiches fit the censoring KM once."""
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(scipy.linalg, "cho_factor")
+    count(np.linalg, "eigvalsh")
+    count(inference_mod, "censoring_km")
+    cfg = DgpConfig(n=500, mu=2.0, seed=_cell_seed(1, 0, 0))
+    results = simulation._run_cell(cfg, ESTIMATORS, PenalizedConfig(), DEFAULT_TAU0, 0.95, 1.0, 1)
+    assert all(results[name] is not None for name in ESTIMATORS)
+    assert 1 <= counts["cho_factor"] <= 4
+    assert 1 <= counts["eigvalsh"] <= 4
+    assert counts["censoring_km"] == 1
 
 
 def test_profiles_match_documented_settings():

@@ -53,6 +53,17 @@ class TestWeightedDesign:
         assert np.allclose(d.gram, d.xw.T @ d.xw, rtol=1e-10)
         assert np.allclose(d.gram, d.gram.T, atol=0.0)
 
+    def test_built_once_per_sample_and_weights(self):
+        x = np.column_stack([np.ones(4), np.arange(4.0)])
+        ss, kw = sorted_with_weights([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], x)
+        d = build_weighted_design(ss, kw)
+        assert build_weighted_design(ss, kw) is d
+        # equal weights in another object get their own design with the same arrays
+        other = build_weighted_design(ss, km_weights(ss))
+        assert other is not d
+        for name in ("xw", "yw", "gram"):
+            assert np.array_equal(getattr(other, name), getattr(d, name))
+
 
 class TestWlsSolve:
     def test_constant_design_gives_mean(self):
@@ -92,8 +103,12 @@ class TestWlsSolve:
         x = np.column_stack([np.ones(10), 2.0 * np.ones(10)])
         ss, kw = uncensored(np.arange(10.0), x)
         d = build_weighted_design(ss, kw)
+        # a failed check stores no factor, so every later solve checks and raises again
+        for _ in range(3):
+            with pytest.raises(SingularGramError, match="collinear"):
+                wls_solve(d, d.yw)
         with pytest.raises(SingularGramError, match="collinear"):
-            wls_solve(d, d.yw)
+            stute_fit(ss, kw)
 
 
 class TestStuteFit:
