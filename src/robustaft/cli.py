@@ -7,6 +7,7 @@ so table, csv and json-lines carry identical values.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -26,6 +27,10 @@ from .wls import SingularGramError, stute_fit
 
 def _fmt(value) -> str:
     return repr(float(value))
+
+
+def _text(value) -> str:
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def cmd_fit(args) -> int:
@@ -51,83 +56,75 @@ def cmd_fit(args) -> int:
         pen = fit_penalized(ss, kw, cfg)
         meta.update({"lambda": pen.lam, "iterations": pen.iterations, "tau0": args.tau0})
         fit = pen if args.method == "penalized" else fit_two_step(ss, kw, pen, args.tau0)
-        for i in detect_outliers(pen, args.tau0):
-            # report 1-based original row order; users reason in file order
-            outliers.append((int(ss.perm[i]) + 1, float(pen.alpha_w[i])))
-        outliers.sort()
+        # report 1-based original row order; users reason in file order
+        outliers = sorted(
+            (int(ss.perm[i]) + 1, float(pen.alpha_w[i])) for i in detect_outliers(pen, args.tau0)
+        )
 
     inf = sandwich_ci(ss, kw, fit, args.ci_level)
-    coefficients = [
-        (k + 1, float(inf.beta[k]), float(inf.std_errors[k]),
-         float(inf.ci_lower[k]), float(inf.ci_upper[k]))
+    records = [("fit", None, meta)]
+    records += [
+        ("coefficient", k + 1, {
+            "estimate": float(inf.beta[k]),
+            "std_error": float(inf.std_errors[k]),
+            "ci_lower": float(inf.ci_lower[k]),
+            "ci_upper": float(inf.ci_upper[k]),
+        })
         for k in range(sample.p)
     ]
-
-    emit = {"table": _emit_table, "csv": _emit_csv, "json-lines": _emit_jsonl}[args.format]
-    emit(meta, coefficients, outliers, sys.stdout)
+    records += [("outlier", row, {"alpha_w": alpha_w}) for row, alpha_w in outliers]
+    _WRITERS[args.format](records, sys.stdout)
     return 0
 
 
-def _emit_table(meta, coefficients, outliers, out) -> None:
-    for key, value in meta.items():
-        text = _fmt(value) if isinstance(value, float) else str(value)
-        print(f"{key:<12}{text}", file=out)
-    print(f"{'coef':<6}{'estimate':<26}{'std_error':<26}{'ci_lower':<26}{'ci_upper':<26}", file=out)
-    for k, est, se, lo, hi in coefficients:
-        print(f"{'x%d' % k:<6}{_fmt(est):<26}{_fmt(se):<26}{_fmt(lo):<26}{_fmt(hi):<26}", file=out)
-    if outliers:
-        print("outliers (original row, alpha_w):", file=out)
-        for row, alpha_w in outliers:
-            print(f"  {row}  {_fmt(alpha_w)}", file=out)
+_TABLE_HEADINGS = {
+    "coefficient": f"{'coef':<6}{'estimate':<26}{'std_error':<26}{'ci_lower':<26}{'ci_upper':<26}",
+    "outlier": "outliers (original row, alpha_w):",
+}
 
 
-def _emit_csv(meta, coefficients, outliers, out) -> None:
-    import csv as _csv
+def _write_table(records, out) -> None:
+    kind = "fit"
+    for record, index, fields in records:
+        if record != kind:
+            kind = record
+            print(_TABLE_HEADINGS[record], file=out)
+        if record == "fit":
+            for key, value in fields.items():
+                print(f"{key:<12}{_text(value)}", file=out)
+        elif record == "coefficient":
+            cells = "".join(f"{_fmt(v):<26}" for v in fields.values())
+            print(f"{'x%d' % index:<6}{cells}", file=out)
+        else:
+            print(f"  {index}  {_fmt(fields['alpha_w'])}", file=out)
 
-    writer = _csv.writer(out, lineterminator="\n")
+
+def _write_csv(records, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["record", "index", "field", "value"])
-    for key, value in meta.items():
-        text = _fmt(value) if isinstance(value, float) else str(value)
-        writer.writerow(["fit", "", key, text])
-    for k, est, se, lo, hi in coefficients:
-        for field, value in (
-            ("estimate", est), ("std_error", se), ("ci_lower", lo), ("ci_upper", hi)
-        ):
-            writer.writerow(["coefficient", k, field, _fmt(value)])
-    for row, alpha_w in outliers:
-        writer.writerow(["outlier", row, "alpha_w", _fmt(alpha_w)])
+    for record, index, fields in records:
+        for field, value in fields.items():
+            writer.writerow([record, "" if index is None else index, field, _text(value)])
 
 
-def _emit_jsonl(meta, coefficients, outliers, out) -> None:
-    print(json.dumps({"record": "fit", **meta}), file=out)
-    for k, est, se, lo, hi in coefficients:
-        print(
-            json.dumps(
-                {
-                    "record": "coefficient",
-                    "index": k,
-                    "estimate": est,
-                    "std_error": se,
-                    "ci_lower": lo,
-                    "ci_upper": hi,
-                }
-            ),
-            file=out,
-        )
-    for row, alpha_w in outliers:
-        print(json.dumps({"record": "outlier", "row": row, "alpha_w": alpha_w}), file=out)
+def _write_jsonl(records, out) -> None:
+    for record, index, fields in records:
+        head = {"record": record}
+        if index is not None:
+            head["row" if record == "outlier" else "index"] = index
+        print(json.dumps({**head, **fields}), file=out)
+
+
+_WRITERS = {"table": _write_table, "csv": _write_csv, "json-lines": _write_jsonl}
 
 
 def cmd_simulate(args) -> int:
     profile = {"desk": DESK_PROFILE, "paper": PAPER_PROFILE}[args.profile]
     n = profile.n if args.sample_size is None else args.sample_size
     reps = profile.reps if args.reps is None else args.reps
-    report = run_study(
-        grid=profile.mu_grid,
-        reps=reps,
-        base_cfg=DgpConfig(n=n, seed=args.seed),
-        threads=args.threads,
-    )
+    if args.threads < 1:
+        raise ValueError("threads must be a positive integer")
+    report = run_study(grid=profile.mu_grid, reps=reps, base_cfg=DgpConfig(n=n, seed=args.seed))
     if args.output == "-":
         report.to_csv(sys.stdout)
     else:
@@ -175,7 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="desk: n=500, 200 reps, mu in {2,3,4,5}; paper: n=1000, 1000 reps, mu grid 2:0.1:5",
     )
     sim.add_argument("--seed", type=int, default=0, help="study seed")
-    sim.add_argument("--threads", type=int, default=1, help="worker threads, at most one per CPU")
+    sim.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for old command lines and has no effect: the study runs serially",
+    )
     sim.add_argument("--output", default="-", help="report CSV path ('-' for stdout)")
     sim.add_argument("--reps", type=int, default=None, help="override the profile's replication count")
     sim.add_argument(

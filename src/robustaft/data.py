@@ -118,42 +118,45 @@ def load_csv(path) -> SurvivalSample:
     """Read a sample from a CSV file with header ``y,delta,x1,...,xp``.
 
     Row numbers in error messages are 1-based file lines (the header is
-    line 1).  Raises ValueError on any malformed content.
+    line 1).  Raises ValueError on any malformed content, including text the
+    csv module cannot split into fields.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        p = len(header) - 2
-        expected = ["y", "delta"] + [f"x{k}" for k in range(1, p + 1)]
-        if p < 1 or header != expected:
-            raise ValueError(
-                f"{path}: header must be 'y,delta,x1,...,xp', got {','.join(header)!r}"
-            )
-        ys, deltas, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 2:
-                raise ValueError(f"{path}: row {lineno}: expected {p + 2} fields, got {len(row)}")
-            vals = []
-            for col, (name, text) in enumerate(zip(expected, row), start=1):
-                try:
-                    vals.append(float(text))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {col} ({name}): cannot parse {text.strip()!r}"
-                    ) from None
-            if vals[1] not in (0.0, 1.0):
-                raise ValueError(f"{path}: row {lineno}: delta must be 0 or 1, got {row[1].strip()}")
-            if not all(np.isfinite(v) for v in vals):
-                raise ValueError(f"{path}: row {lineno}: non-finite entry")
-            ys.append(vals[0])
-            deltas.append(int(vals[1]))
-            rows.append(vals[2:])
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            p = len(header) - 2
+            expected = ["y", "delta"] + [f"x{k}" for k in range(1, p + 1)]
+            if p < 1 or header != expected:
+                raise ValueError(
+                    f"{path}: header must be 'y,delta,x1,...,xp', got {','.join(header)!r}"
+                )
+            ys, deltas, rows = [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != p + 2:
+                    raise ValueError(f"{path}: row {lineno}: expected {p + 2} fields, got {len(row)}")
+                vals = []
+                for col, (name, text) in enumerate(zip(expected, row), start=1):
+                    try:
+                        vals.append(float(text))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {col} ({name}): cannot parse {text.strip()!r}"
+                        ) from None
+                if vals[1] not in (0.0, 1.0):
+                    raise ValueError(f"{path}: row {lineno}: delta must be 0 or 1, got {row[1].strip()}")
+                if not all(np.isfinite(v) for v in vals):
+                    raise ValueError(f"{path}: row {lineno}: non-finite entry")
+                ys.append(vals[0])
+                deltas.append(int(vals[1]))
+                rows.append(vals[2:])
+        except csv.Error as err:
+            raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
     if not ys:
         raise ValueError(f"{path}: no data rows")
     return SurvivalSample(y=np.array(ys), delta=np.array(deltas), x=np.array(rows))

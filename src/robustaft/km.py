@@ -8,6 +8,7 @@ mass is pushed to later uncensored observations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +69,17 @@ def lambda_rule(n: int, pi_uc_hat: float, lambda0: float) -> float:
 
     Heavier censoring (smaller ``pi_uc_hat``) yields a larger penalty.
     ``lambda0`` is a small positive constant; 1e-4 is the standard choice.
+    Raises ValueError when the level overflows a double.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not 0.0 <= pi_uc_hat <= 1.0:
         raise ValueError("pi_uc_hat must lie in [0, 1]")
-    if not lambda0 > 0:
-        raise ValueError("lambda0 must be positive")
-    return float(n) ** (lambda0 - pi_uc_hat / 2.0)
+    if not 0 < lambda0 < math.inf:
+        raise ValueError("lambda0 must be positive and finite")
+    try:
+        return float(n) ** (lambda0 - pi_uc_hat / 2.0)
+    except OverflowError:
+        raise ValueError(
+            f"penalty level n ** (lambda0 - pi_uc_hat / 2) overflows for n={n}, lambda0={lambda0!r}"
+        ) from None

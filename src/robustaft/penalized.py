@@ -12,6 +12,7 @@ step in b, then a closed-form soft-threshold step in aw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +38,14 @@ class PenalizedConfig:
     lambda_override: float | None = None
 
     def __post_init__(self):
-        if not self.lambda0 > 0:
-            raise ValueError("lambda0 must be positive")
+        if not 0 < self.lambda0 < math.inf:
+            raise ValueError("lambda0 must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
-        if self.lambda_override is not None and not self.lambda_override > 0:
-            raise ValueError("lambda_override must be positive")
+        if self.lambda_override is not None and not 0 < self.lambda_override < math.inf:
+            raise ValueError("lambda_override must be positive and finite")
 
 
 def soft_threshold_step(residual_w: np.ndarray, lam: float) -> np.ndarray:

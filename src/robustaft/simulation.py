@@ -8,18 +8,16 @@ uncensored fraction between roughly 64% (mu = 2) and 99% (mu = 5).
 
 Randomness comes from numpy's PCG64 generator.  Each (mu, replication) cell
 derives its own 64-bit seed by XOR-ing the study seed with a BLAKE2b hash of
-the cell coordinates, so results are bit-identical regardless of how many
-worker threads run the study.
+the cell coordinates, so each cell's sample depends only on the study seed and
+the cell's place in the grid.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,11 +25,12 @@ import numpy as np
 from .data import SurvivalSample, sort_sample
 from .inference import sandwich_ci
 from .km import km_weights
-from .penalized import PenalizedConfig, fit_penalized
-from .two_step import DEFAULT_TAU0, fit_two_step
+from .penalized import fit_penalized
+from .two_step import fit_two_step
 from .wls import SingularGramError, stute_fit
 
 ESTIMATORS = ("stute", "penalized", "two-step")
+SLOPE = 1  # index of the coefficient the study reports on
 
 
 @dataclass(frozen=True)
@@ -50,22 +49,17 @@ class DgpConfig:
     mu: float = 5.0
     seed: int = 0
 
-    @property
-    def outlier_rate(self) -> float:
-        return 1.0 - self.outlier_cutoff
-
 
 @dataclass(frozen=True)
 class StudyProfile:
-    name: str
     n: int
     reps: int
     mu_grid: tuple[float, ...]
 
 
-DESK_PROFILE = StudyProfile(name="desk", n=500, reps=200, mu_grid=(2.0, 3.0, 4.0, 5.0))
+DESK_PROFILE = StudyProfile(n=500, reps=200, mu_grid=(2.0, 3.0, 4.0, 5.0))
 PAPER_PROFILE = StudyProfile(
-    name="paper", n=1000, reps=1000, mu_grid=tuple((20 + k) / 10 for k in range(31))
+    n=1000, reps=1000, mu_grid=tuple((20 + k) / 10 for k in range(31))
 )
 
 
@@ -86,7 +80,6 @@ class MonteCarloReport:
     """Aggregated study results: one row per (estimator, mu) pair."""
 
     rows: tuple[ReportRow, ...]
-    reps: int
     failures: int
     runtime_seconds: float
 
@@ -145,16 +138,19 @@ def _cell_seed(base_seed: int, mu_index: int, rep_index: int) -> int:
     return (base_seed ^ int.from_bytes(digest, "little")) & 0xFFFFFFFFFFFFFFFF
 
 
-def _run_cell(cfg, estimators, pen_cfg, tau0, level, true_coef, coef_index):
+def _run_cell(cfg: DgpConfig, estimators) -> dict:
+    """One replication: pi_uc_hat, then (slope estimate, 95% CI covers it) per
+    estimator, or None where a singular Gram matrix stopped that estimator."""
     sample = generate_sample(cfg)
     ss = sort_sample(sample)
     kw = km_weights(ss)
+    true_coef = cfg.beta[SLOPE]
     results = {"pi_uc": kw.pi_uc_hat}
 
     pen_fit = None
     if "penalized" in estimators or "two-step" in estimators:
         try:
-            pen_fit = fit_penalized(ss, kw, pen_cfg)
+            pen_fit = fit_penalized(ss, kw)
         except SingularGramError:
             pen_fit = None
 
@@ -168,10 +164,10 @@ def _run_cell(cfg, estimators, pen_cfg, tau0, level, true_coef, coef_index):
             elif name == "penalized":
                 fit = pen_fit
             else:
-                fit = fit_two_step(ss, kw, pen_fit, tau0)
-            inf = sandwich_ci(ss, kw, fit, level)
-            covered = bool(inf.ci_lower[coef_index] <= true_coef <= inf.ci_upper[coef_index])
-            results[name] = (float(fit.beta[coef_index]), covered)
+                fit = fit_two_step(ss, kw, pen_fit)
+            inf = sandwich_ci(ss, kw, fit)
+            covered = bool(inf.ci_lower[SLOPE] <= true_coef <= inf.ci_upper[SLOPE])
+            results[name] = (float(fit.beta[SLOPE]), covered)
         except SingularGramError:
             results[name] = None
     return results
@@ -182,53 +178,31 @@ def run_study(
     reps: int,
     base_cfg: DgpConfig = DgpConfig(),
     estimators=ESTIMATORS,
-    threads: int = 1,
-    level: float = 0.95,
-    tau0: float = DEFAULT_TAU0,
-    pen_cfg: PenalizedConfig = PenalizedConfig(),
-    coef_index: int = 1,
 ) -> MonteCarloReport:
     """Run the replication study over a censoring-intensity grid.
 
-    Replications are independent; cells go to ``threads`` workers (capped at
-    the CPU and cell counts) and are merged in (mu, replication) order, so the
-    report does not depend on the thread count.  Replications hitting a singular
-    Gram matrix are excluded from the affected estimator's row and counted as failures.
+    Cells run one after another in (mu, replication) order, each with the
+    default penalized fit, the two-step refit at ``DEFAULT_TAU0`` and 95%
+    sandwich CIs for the slope.  Replications hitting a singular Gram matrix
+    are excluded from the affected estimator's row and counted as failures.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
-    if threads < 1:
-        raise ValueError("threads must be a positive integer")
     grid = [float(m) for m in grid]
     estimators = tuple(estimators)
     for name in estimators:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}")
-    true_coef = float(base_cfg.beta[coef_index])
+    true_coef = float(base_cfg.beta[SLOPE])
 
     start = time.perf_counter()
-    cells = [
-        (i, j, replace(base_cfg, mu=mu, seed=_cell_seed(base_cfg.seed, i, j)))
-        for i, mu in enumerate(grid)
-        for j in range(reps)
-    ]
-
-    def work(cell):
-        i, j, cfg = cell
-        return i, j, _run_cell(cfg, estimators, pen_cfg, tau0, level, true_coef, coef_index)
-
-    workers = min(threads, os.cpu_count() or 1, len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, cells))
-    else:
-        outcomes = [work(cell) for cell in cells]
-    outcomes.sort(key=lambda item: (item[0], item[1]))
-
     rows = []
     failures = 0
     for i, mu in enumerate(grid):
-        cell_results = [res for ci, _, res in outcomes if ci == i]
+        cell_results = [
+            _run_cell(replace(base_cfg, mu=mu, seed=_cell_seed(base_cfg.seed, i, j)), estimators)
+            for j in range(reps)
+        ]
         pi_uc = float(np.mean([res["pi_uc"] for res in cell_results]))
         for name in estimators:
             values = [res[name] for res in cell_results]
@@ -262,7 +236,6 @@ def run_study(
         )
     return MonteCarloReport(
         rows=tuple(rows),
-        reps=reps,
         failures=failures,
         runtime_seconds=time.perf_counter() - start,
     )

@@ -12,5 +12,4 @@ def desk_study():
         grid=DESK_PROFILE.mu_grid,
         reps=DESK_PROFILE.reps,
         base_cfg=DgpConfig(n=DESK_PROFILE.n, seed=STUDY_SEED),
-        threads=4,
     )

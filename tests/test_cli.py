@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -135,6 +137,14 @@ class TestFit:
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_unsplittable_csv_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "huge_field.csv"
+        path.write_text("y,delta,x1\n1,1,1\n2,1," + "1" * 200_000 + "\n3,1,1\n")
+        rc, out, err = run_cli(capsys, ["fit", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: line 3:") and err.count("\n") == 1
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, ["fit", str(tmp_path / "nope.csv")])
         assert rc == 1
@@ -149,6 +159,79 @@ class TestFit:
         assert "collinear" in err
 
 
+SMALL_CSV = """y,delta,x1,x2
+1.2,1,1,0.1
+1.5,1,1,0.2
+0.9,0,1,0.3
+1.8,1,1,0.4
+1.4,1,1,0.5
+2.1,1,1,0.6
+-6.0,1,1,0.7
+1.9,0,1,0.8
+2.3,1,1,0.9
+2.2,1,1,1.0
+"""
+
+# estimate, std_error, ci_lower, ci_upper
+COEF_X1 = ("1.1993980169971674", "0.10369977367670422", "0.9961501953858725",
+           "1.4026458386084624")
+COEF_X2 = ("1.1260623229461757", "0.13682003497857773", "0.8578999820246529",
+           "1.3942246638676985")
+LAMBDA = "0.39819884867155864"
+ALPHA_W = "-2.300681654703104"
+
+GOLDEN = {
+    "table": [
+        "method      two-step",
+        "n           10",
+        "p           2",
+        "pi_uc_hat   0.8",
+        f"lambda      {LAMBDA}",
+        "iterations  10",
+        "tau0        0.3",
+        "coef  estimate                  std_error                 ci_lower                  "
+        "ci_upper                  ",
+        "x1    1.1993980169971674        0.10369977367670422       0.9961501953858725        "
+        "1.4026458386084624        ",
+        "x2    1.1260623229461757        0.13682003497857773       0.8578999820246529        "
+        "1.3942246638676985        ",
+        "outliers (original row, alpha_w):",
+        f"  7  {ALPHA_W}",
+    ],
+    "csv": [
+        "record,index,field,value",
+        "fit,,method,two-step",
+        "fit,,n,10",
+        "fit,,p,2",
+        "fit,,pi_uc_hat,0.8",
+        f"fit,,lambda,{LAMBDA}",
+        "fit,,iterations,10",
+        "fit,,tau0,0.3",
+        *(f"coefficient,{k},{field},{value}"
+          for k, values in ((1, COEF_X1), (2, COEF_X2))
+          for field, value in zip(("estimate", "std_error", "ci_lower", "ci_upper"), values)),
+        f"outlier,7,alpha_w,{ALPHA_W}",
+    ],
+    "json-lines": [
+        '{"record": "fit", "method": "two-step", "n": 10, "p": 2, "pi_uc_hat": 0.8, '
+        f'"lambda": {LAMBDA}, "iterations": 10, "tau0": 0.3}}',
+        *('{"record": "coefficient", "index": %d, "estimate": %s, "std_error": %s, '
+          '"ci_lower": %s, "ci_upper": %s}' % (k, *values)
+          for k, values in ((1, COEF_X1), (2, COEF_X2))),
+        f'{{"record": "outlier", "row": 7, "alpha_w": {ALPHA_W}}}',
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN))
+def test_fit_output_is_pinned_to_the_byte(capsys, tmp_path, fmt):
+    path = tmp_path / "small.csv"
+    path.write_text(SMALL_CSV)
+    rc, out, err = run_cli(capsys, ["fit", str(path), "--format", fmt])
+    assert (rc, err) == (0, "")
+    assert out == "\n".join(GOLDEN[fmt]) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -158,6 +241,9 @@ class TestFit:
         (["fit", "{csv}", "--tau0", "nan"], "tau0 must be nonnegative"),
         (["fit", "{csv}", "--method", "penalized", "--lambda", "nan"], "lambda_override must be"),
         (["fit", "{csv}", "--lambda0", "nan"], "lambda0 must be positive"),
+        (["fit", "{csv}", "--lambda0", "1e308"], "overflows"),
+        (["fit", "{csv}", "--lambda0", "inf"], "lambda0 must be positive and finite"),
+        (["fit", "{csv}", "--method", "penalized", "--lambda", "inf"], "must be positive and finite"),
     ],
 )
 def test_bad_input_exits_one(capsys, uncensored_csv, argv, message):
@@ -165,7 +251,7 @@ def test_bad_input_exits_one(capsys, uncensored_csv, argv, message):
     rc, out, err = run_cli(capsys, argv)
     assert rc == 1
     assert out == ""
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 class TestSimulate:
@@ -181,6 +267,20 @@ class TestSimulate:
         assert out_a.read_text() == out_b.read_text()
         header = out_a.read_text().splitlines()[0]
         assert header == "estimator,mu,pi_uc_hat,bias,variance,mse,coverage,reps_used"
+
+    def test_threads_flag_starts_no_thread(self, capsys, monkeypatch):
+        args = ["simulate", "--seed", "5", "--reps", "2", "--sample-size", "60"]
+        rc, serial, _ = run_cli(capsys, args + ["--threads", "1"])
+        assert rc == 0
+
+        def refuse(thread):
+            raise AssertionError(f"simulate started a thread: {thread!r}")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rc, out, err = run_cli(capsys, args + ["--threads", "4"])
+        assert (rc, err) == (0, "")
+        assert out == serial
 
     def test_unwritable_output_exits_one(self, capsys, tmp_path):
         rc, _, err = run_cli(

@@ -107,3 +107,7 @@ class TestLambdaRule:
             lambda_rule(10, 0.5, 0.0)
         with pytest.raises(ValueError, match="lambda0 must be positive"):
             lambda_rule(10, 0.5, float("nan"))
+        with pytest.raises(ValueError, match="lambda0 must be positive and finite"):
+            lambda_rule(10, 0.5, float("inf"))
+        with pytest.raises(ValueError, match="overflows"):
+            lambda_rule(10, 0.5, 1e308)

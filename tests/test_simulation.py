@@ -7,15 +7,7 @@ import scipy.linalg
 
 import robustaft.inference as inference_mod
 import robustaft.simulation as simulation
-from robustaft import (
-    DEFAULT_TAU0,
-    DESK_PROFILE,
-    PAPER_PROFILE,
-    DgpConfig,
-    PenalizedConfig,
-    generate_sample,
-    run_study,
-)
+from robustaft import DESK_PROFILE, PAPER_PROFILE, DgpConfig, generate_sample, run_study
 from robustaft.simulation import ESTIMATORS, _cell_seed
 
 
@@ -39,7 +31,6 @@ class TestGenerate:
 
     def test_expected_outlier_count(self):
         cfg = DgpConfig(n=1000)
-        assert cfg.outlier_rate == pytest.approx(5e-3, abs=1e-15)
         counts = [
             int(np.sum(generate_sample(DgpConfig(n=1000, seed=s)).x[:, 1] >= cfg.outlier_cutoff))
             for s in range(60)
@@ -92,44 +83,11 @@ class TestRunStudy:
         )
         assert [r.estimator for r in report.rows] == ["two-step"]
 
-    def test_reproducible_and_thread_invariant(self):
+    def test_reproducible(self):
         kwargs = dict(grid=[2.5, 4.5], reps=6, base_cfg=DgpConfig(n=80, seed=99))
-        first, second, parallel = (
-            run_study(threads=t, **kwargs) for t in (1, 1, 3)
-        )
-        for other in (second, parallel):
-            buf_a, buf_b = io.StringIO(), io.StringIO()
-            first.to_csv(buf_a)
-            other.to_csv(buf_b)
-            assert buf_a.getvalue() == buf_b.getvalue()
-
-    @pytest.mark.parametrize("cpus, created", [(3, [3]), (64, [4]), (None, [])])
-    def test_thread_pool_is_capped_by_cpus_and_cells(self, monkeypatch, cpus, created):
-        seen = []
-
-        class SerialPool:
-            """Records the requested pool size and runs the cells in this thread."""
-
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(simulation, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
-        kwargs = dict(grid=[2.5, 4.5], reps=2, base_cfg=DgpConfig(n=60, seed=4))
-        capped = run_study(threads=10**6, **kwargs)
-        assert seen == created  # 4 cells; no cpu count means one worker, no pool
         buf_a, buf_b = io.StringIO(), io.StringIO()
-        capped.to_csv(buf_a)
-        run_study(threads=1, **kwargs).to_csv(buf_b)
+        run_study(**kwargs).to_csv(buf_a)
+        run_study(**kwargs).to_csv(buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
 
     def test_row_lookup(self):
@@ -184,7 +142,7 @@ def test_one_cell_shares_gram_factors_and_the_censoring_km(monkeypatch):
     count(np.linalg, "eigvalsh")
     count(inference_mod, "censoring_km")
     cfg = DgpConfig(n=500, mu=2.0, seed=_cell_seed(1, 0, 0))
-    results = simulation._run_cell(cfg, ESTIMATORS, PenalizedConfig(), DEFAULT_TAU0, 0.95, 1.0, 1)
+    results = simulation._run_cell(cfg, ESTIMATORS)
     assert all(results[name] is not None for name in ESTIMATORS)
     assert 1 <= counts["cho_factor"] <= 4
     assert 1 <= counts["eigvalsh"] <= 4
