@@ -9,18 +9,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .data import load_csv, sort_sample
 from .inference import sandwich_ci
 from .km import km_weights
 from .penalized import PenalizedConfig, fit_penalized
-from .simulation import (
-    DESK_PROFILE,
-    PAPER_PROFILE,
-    DgpConfig,
-    run_study,
-)
+from .simulation import DESK_PROFILE, ESTIMATORS, PAPER_PROFILE, DgpConfig, run_study
 from .two_step import DEFAULT_TAU0, detect_outliers, fit_two_step
 from .wls import SingularGramError, stute_fit
 
@@ -34,6 +30,8 @@ def _text(value) -> str:
 
 
 def cmd_fit(args) -> int:
+    if not 0 <= args.tau0 < math.inf:
+        raise ValueError("tau0 must be nonnegative and finite")
     sample = load_csv(args.input)
     ss = sort_sample(sample)
     kw = km_weights(ss)
@@ -116,10 +114,11 @@ def _write_jsonl(records, out) -> None:
 
 
 _WRITERS = {"table": _write_table, "csv": _write_csv, "json-lines": _write_jsonl}
+_PROFILES = {"desk": DESK_PROFILE, "paper": PAPER_PROFILE}
 
 
 def cmd_simulate(args) -> int:
-    profile = {"desk": DESK_PROFILE, "paper": PAPER_PROFILE}[args.profile]
+    profile = _PROFILES[args.profile]
     n = profile.n if args.sample_size is None else args.sample_size
     reps = profile.reps if args.reps is None else args.reps
     if args.threads < 1:
@@ -144,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("input", help="input CSV path")
     fit.add_argument(
         "--method",
-        choices=["stute", "penalized", "two-step"],
+        choices=ESTIMATORS,
         default="two-step",
         help="estimator to fit (default: two-step)",
     )
@@ -161,14 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-iter", type=int, default=10, help="alternating cycles")
     fit.add_argument("--ci-level", type=float, default=0.95, help="confidence level")
     fit.add_argument(
-        "--format", choices=["table", "csv", "json-lines"], default="table",
+        "--format", choices=_WRITERS, default="table",
         help="output format",
     )
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo coverage study")
     sim.add_argument(
-        "--profile", choices=["desk", "paper"], default="desk",
+        "--profile", choices=_PROFILES, default="desk",
         help="desk: n=500, 200 reps, mu in {2,3,4,5}; paper: n=1000, 1000 reps, mu grid 2:0.1:5",
     )
     sim.add_argument("--seed", type=int, default=0, help="study seed")

@@ -32,7 +32,7 @@ from scipy.special import ndtri
 
 from .data import SortedSample, _frozen, _memo
 from .km import KMWeightSet
-from .wls import Fit, _solve_gram, build_weighted_design
+from .wls import Fit, build_weighted_design
 
 # Tail denominators 1 - G(t-) and 1 - H(t) are floored here; sufficient
 # follow-up keeps them away from zero asymptotically but finite samples may
@@ -197,12 +197,9 @@ def sandwich_ci(
     sigma_hat = centered.T @ centered / n
 
     unshifted = fit.alpha_w == 0.0
-    design = build_weighted_design(sorted_sample, kw)
-    xw = np.where(unshifted[:, None], design.xw, 0.0)
-    sigma_x = xw.T @ xw
-    owner = design if unshifted.all() else None  # no shifts: reuse the design's factor
     context = f"sandwich bread over the {int(unshifted.sum())} of {n} rows with zero shift"
-    sigma_x_inv = _solve_gram(sigma_x, np.eye(sigma_x.shape[0]), context, owner)
+    design = build_weighted_design(sorted_sample, kw)
+    sigma_x, sigma_x_inv = design.solve(np.eye(psi.shape[1]), unshifted, context)
     cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
     cov_beta = (cov_beta + cov_beta.T) / 2.0
 

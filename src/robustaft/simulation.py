@@ -138,38 +138,28 @@ def _cell_seed(base_seed: int, mu_index: int, rep_index: int) -> int:
     return (base_seed ^ int.from_bytes(digest, "little")) & 0xFFFFFFFFFFFFFFFF
 
 
-def _run_cell(cfg: DgpConfig, estimators) -> dict:
+def _run_cell(cfg: DgpConfig) -> dict:
     """One replication: pi_uc_hat, then (slope estimate, 95% CI covers it) per
     estimator, or None where a singular Gram matrix stopped that estimator."""
     sample = generate_sample(cfg)
     ss = sort_sample(sample)
     kw = km_weights(ss)
-    true_coef = cfg.beta[SLOPE]
-    results = {"pi_uc": kw.pi_uc_hat}
+    results = {"pi_uc": kw.pi_uc_hat, **dict.fromkeys(ESTIMATORS)}
 
-    pen_fit = None
-    if "penalized" in estimators or "two-step" in estimators:
+    fits = {}
+    try:
+        fits["stute"] = stute_fit(ss, kw)
+        fits["penalized"] = fit_penalized(ss, kw)
+        fits["two-step"] = fit_two_step(ss, kw, fits["penalized"])
+    except SingularGramError:
+        pass
+    for name, fit in fits.items():
         try:
-            pen_fit = fit_penalized(ss, kw)
-        except SingularGramError:
-            pen_fit = None
-
-    for name in estimators:
-        if name != "stute" and pen_fit is None:
-            results[name] = None
-            continue
-        try:
-            if name == "stute":
-                fit = stute_fit(ss, kw)
-            elif name == "penalized":
-                fit = pen_fit
-            else:
-                fit = fit_two_step(ss, kw, pen_fit)
             inf = sandwich_ci(ss, kw, fit)
-            covered = bool(inf.ci_lower[SLOPE] <= true_coef <= inf.ci_upper[SLOPE])
-            results[name] = (float(fit.beta[SLOPE]), covered)
         except SingularGramError:
-            results[name] = None
+            continue
+        covered = bool(inf.ci_lower[SLOPE] <= cfg.beta[SLOPE] <= inf.ci_upper[SLOPE])
+        results[name] = (float(fit.beta[SLOPE]), covered)
     return results
 
 
@@ -177,7 +167,6 @@ def run_study(
     grid,
     reps: int,
     base_cfg: DgpConfig = DgpConfig(),
-    estimators=ESTIMATORS,
 ) -> MonteCarloReport:
     """Run the replication study over a censoring-intensity grid.
 
@@ -189,10 +178,6 @@ def run_study(
     if reps < 2:
         raise ValueError("reps must be at least 2")
     grid = [float(m) for m in grid]
-    estimators = tuple(estimators)
-    for name in estimators:
-        if name not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {name!r}")
     true_coef = float(base_cfg.beta[SLOPE])
 
     start = time.perf_counter()
@@ -200,11 +185,11 @@ def run_study(
     failures = 0
     for i, mu in enumerate(grid):
         cell_results = [
-            _run_cell(replace(base_cfg, mu=mu, seed=_cell_seed(base_cfg.seed, i, j)), estimators)
+            _run_cell(replace(base_cfg, mu=mu, seed=_cell_seed(base_cfg.seed, i, j)))
             for j in range(reps)
         ]
         pi_uc = float(np.mean([res["pi_uc"] for res in cell_results]))
-        for name in estimators:
+        for name in ESTIMATORS:
             values = [res[name] for res in cell_results]
             ok = [v for v in values if v is not None]
             failures += len(values) - len(ok)

@@ -12,15 +12,15 @@ import numpy as np
 
 from .data import SortedSample
 from .km import KMWeightSet
-from .wls import Fit, _solve_gram, build_weighted_design
+from .wls import Fit, build_weighted_design
 
 DEFAULT_TAU0 = 0.3
 
 
 def detect_outliers(fit: Fit, tau0: float = DEFAULT_TAU0) -> np.ndarray:
     """Sorted indices i with |alpha_w_(i)| > tau0 (strict), ascending."""
-    if not tau0 >= 0:
-        raise ValueError("tau0 must be nonnegative")
+    if not 0 <= tau0 < np.inf:
+        raise ValueError("tau0 must be nonnegative and finite")
     return np.flatnonzero(np.abs(fit.alpha_w) > tau0)
 
 
@@ -42,13 +42,8 @@ def fit_two_step(
 
     keep = np.ones(n, dtype=bool)
     keep[outliers] = False
-    xw_kept = np.where(keep[:, None], design.xw, 0.0)
-    yw_kept = np.where(keep, design.yw, 0.0)
-    beta = _solve_gram(
-        xw_kept.T @ xw_kept,
-        xw_kept.T @ yw_kept,
-        context=f"screened refit after removing {outliers.size} of {n} rows",
-    )
+    context = f"screened refit after removing {outliers.size} of {n} rows"
+    _, beta = design.solve(design.xw.T @ np.where(keep, design.yw, 0.0), keep, context)
 
     alpha_w = np.zeros(n)
     alpha_w[outliers] = (design.yw - design.xw @ beta)[outliers]

@@ -45,6 +45,37 @@ class WeightedDesign:
         object.__setattr__(self, "yw", _frozen(self.yw))
         object.__setattr__(self, "gram", _frozen(self.gram))
 
+    def solve(
+        self, rhs: np.ndarray, keep: np.ndarray | None = None, context: str = ""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram matrix of the rows where ``keep`` is true (all rows if None) and
+        the solution of gram @ b = rhs by Cholesky.
+
+        Raises SingularGramError, naming ``context``, when the Gram matrix has a
+        relative eigenvalue below GRAM_RTOL.  The all-rows Gram is ``self.gram``
+        and its factor is kept on the design, unless singular.
+        """
+        full = keep is None or keep.all()
+        if full:
+            gram = self.gram
+        else:
+            xw = np.where(keep[:, None], self.xw, 0.0)
+            gram = xw.T @ xw
+
+        def factor():
+            eigs = np.linalg.eigvalsh(gram)
+            if eigs[0] <= GRAM_RTOL * max(eigs[-1], 0.0):
+                detail = f" ({context})" if context else ""
+                raise SingularGramError(
+                    f"weighted Gram matrix is singular{detail}: smallest eigenvalue "
+                    f"{eigs[0]:.3e} <= {GRAM_RTOL:g} * largest {eigs[-1]:.3e}; "
+                    "covariates are collinear after weighting"
+                )
+            return scipy.linalg.cho_factor(gram)
+
+        cho = _memo(self, ("cholesky",), factor) if full else factor()
+        return gram, scipy.linalg.cho_solve(cho, rhs)
+
 
 @dataclass(frozen=True)
 class Fit:
@@ -93,32 +124,13 @@ def build_weighted_design(sorted_sample: SortedSample, kw: KMWeightSet) -> Weigh
     return _memo(sorted_sample, ("design", id(kw)), build)[1]
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, context: str = "", owner=None) -> np.ndarray:
-    """Solve gram @ beta = rhs by Cholesky, guarding against singularity; the factor
-    is kept on ``owner`` (the design whose Gram this is), if given, unless singular."""
-
-    def factor():
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= GRAM_RTOL * max(eigs[-1], 0.0):
-            detail = f" ({context})" if context else ""
-            raise SingularGramError(
-                f"weighted Gram matrix is singular{detail}: smallest eigenvalue "
-                f"{eigs[0]:.3e} <= {GRAM_RTOL:g} * largest {eigs[-1]:.3e}; "
-                "covariates are collinear after weighting"
-            )
-        return scipy.linalg.cho_factor(gram)
-
-    cho = factor() if owner is None else _memo(owner, ("cholesky",), factor)
-    return scipy.linalg.cho_solve(cho, rhs)
-
-
 def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
     """Coefficients b minimizing ||target_w - xw @ b||_2^2.
 
     Raises SingularGramError when the Gram matrix has a relative eigenvalue
     below GRAM_RTOL.
     """
-    return _solve_gram(design.gram, design.xw.T @ target_w, owner=design)
+    return design.solve(design.xw.T @ target_w)[1]
 
 
 def stute_fit(sorted_sample: SortedSample, kw: KMWeightSet) -> Fit:

@@ -244,6 +244,9 @@ def test_fit_output_is_pinned_to_the_byte(capsys, tmp_path, fmt):
         (["fit", "{csv}", "--lambda0", "1e308"], "overflows"),
         (["fit", "{csv}", "--lambda0", "inf"], "lambda0 must be positive and finite"),
         (["fit", "{csv}", "--method", "penalized", "--lambda", "inf"], "must be positive and finite"),
+        (["fit", "{csv}", "--tau0", "inf"], "tau0 must be nonnegative and finite"),
+        (["fit", "{csv}", "--method", "penalized", "--tau0", "inf"], "tau0 must be nonnegative and finite"),
+        (["fit", "{csv}", "--method", "stute", "--tau0", "-1"], "tau0 must be nonnegative and finite"),
     ],
 )
 def test_bad_input_exits_one(capsys, uncensored_csv, argv, message):

@@ -73,16 +73,6 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             run_study([3.0], reps=1)
 
-    def test_rejects_unknown_estimator(self):
-        with pytest.raises(ValueError):
-            run_study([3.0], reps=2, estimators=("stute", "mystery"))
-
-    def test_estimator_subset(self):
-        report = run_study(
-            [3.0], reps=2, base_cfg=DgpConfig(n=60, seed=4), estimators=("two-step",)
-        )
-        assert [r.estimator for r in report.rows] == ["two-step"]
-
     def test_reproducible(self):
         kwargs = dict(grid=[2.5, 4.5], reps=6, base_cfg=DgpConfig(n=80, seed=99))
         buf_a, buf_b = io.StringIO(), io.StringIO()
@@ -142,7 +132,7 @@ def test_one_cell_shares_gram_factors_and_the_censoring_km(monkeypatch):
     count(np.linalg, "eigvalsh")
     count(inference_mod, "censoring_km")
     cfg = DgpConfig(n=500, mu=2.0, seed=_cell_seed(1, 0, 0))
-    results = simulation._run_cell(cfg, ESTIMATORS)
+    results = simulation._run_cell(cfg)
     assert all(results[name] is not None for name in ESTIMATORS)
     assert 1 <= counts["cho_factor"] <= 4
     assert 1 <= counts["eigvalsh"] <= 4

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from robustaft import (
     DEFAULT_TAU0,
@@ -52,6 +55,9 @@ class TestDetect:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             detect_outliers(fake_fit([0.1]), -0.1)
+        for tau0 in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                detect_outliers(fake_fit([0.1]), tau0)
 
 
 class TestFitTwoStep:
@@ -67,6 +73,29 @@ class TestFitTwoStep:
         assert fit.outliers.size == 0
         assert np.array_equal(fit.beta, stute_fit(ss, kw).beta)
         assert np.all(fit.alpha_w == 0.0)
+
+    def test_refit_flagging_nothing_reuses_the_design_factor(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        ss, kw = prepare(random_instance(rng, n=40, p=2))
+        stute = stute_fit(ss, kw)
+        pen = fit_penalized(ss, kw)
+        counts = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(scipy.linalg, "cho_factor")
+        count(np.linalg, "eigvalsh")
+        fit = fit_two_step(ss, kw, pen, tau0=1e6)
+        assert fit.outliers.size == 0
+        assert counts == Counter()
+        assert fit.beta.tobytes() == stute.beta.tobytes()
 
     def test_matches_manual_row_exclusion(self):
         rng = np.random.default_rng(33)
