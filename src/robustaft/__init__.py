@@ -8,7 +8,6 @@ replication harness.
 
 from .data import SortedSample, SurvivalSample, load_csv, sort_sample, write_csv
 from .inference import (
-    CensoringKM,
     DegenerateTailWarning,
     InferenceResult,
     censoring_km,
@@ -40,7 +39,6 @@ from .wls import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CensoringKM",
     "DEFAULT_TAU0",
     "DESK_PROFILE",
     "DegenerateTailWarning",

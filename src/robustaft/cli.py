@@ -32,6 +32,11 @@ def _text(value) -> str:
 def cmd_fit(args) -> int:
     if not 0 <= args.tau0 < math.inf:
         raise ValueError("tau0 must be nonnegative and finite")
+    cfg = PenalizedConfig(
+        lambda0=args.lambda0,
+        max_iter=args.max_iter,
+        lambda_override=getattr(args, "lambda"),
+    )
     sample = load_csv(args.input)
     ss = sort_sample(sample)
     kw = km_weights(ss)
@@ -46,11 +51,6 @@ def cmd_fit(args) -> int:
     if args.method == "stute":
         fit = stute_fit(ss, kw)
     else:
-        cfg = PenalizedConfig(
-            lambda0=args.lambda0,
-            max_iter=args.max_iter,
-            lambda_override=getattr(args, "lambda"),
-        )
         pen = fit_penalized(ss, kw, cfg)
         meta.update({"lambda": pen.lam, "iterations": pen.iterations, "tau0": args.tau0})
         fit = pen if args.method == "penalized" else fit_two_step(ss, kw, pen, args.tau0)
@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="two-step",
         help="estimator to fit (default: two-step)",
     )
-    fit.add_argument("--lambda0", type=float, default=1e-4, help="penalty rule constant")
+    fit.add_argument(
+        "--lambda0", type=float, default=PenalizedConfig.lambda0, help="penalty rule constant"
+    )
     fit.add_argument(
         "--lambda",
         type=float,
@@ -157,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--tau0", type=float, default=DEFAULT_TAU0, help="outlier detection threshold"
     )
-    fit.add_argument("--max-iter", type=int, default=10, help="alternating cycles")
+    fit.add_argument(
+        "--max-iter", type=int, default=PenalizedConfig.max_iter, help="alternating cycles"
+    )
     fit.add_argument("--ci-level", type=float, default=0.95, help="confidence level")
     fit.add_argument(
         "--format", choices=_WRITERS, default="table",

@@ -9,6 +9,7 @@ all-ones column if you want one.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +151,7 @@ def load_csv(path) -> SurvivalSample:
                         ) from None
                 if vals[1] not in (0.0, 1.0):
                     raise ValueError(f"{path}: row {lineno}: delta must be 0 or 1, got {row[1].strip()}")
-                if not all(np.isfinite(v) for v in vals):
+                if not all(map(math.isfinite, vals)):
                     raise ValueError(f"{path}: row {lineno}: non-finite entry")
                 ys.append(vals[0])
                 deltas.append(int(vals[1]))

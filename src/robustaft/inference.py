@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import SortedSample, _frozen, _memo
-from .km import KMWeightSet
+from .km import KMWeightSet, _product_limit
 from .wls import Fit, build_weighted_design
 
 # Tail denominators 1 - G(t-) and 1 - H(t) are floored here; sufficient
@@ -42,29 +42,6 @@ DENOM_FLOOR = 1e-10
 
 class DegenerateTailWarning(UserWarning):
     """Some censoring-tail denominators were floored; treat results with care."""
-
-
-@dataclass(frozen=True)
-class CensoringKM:
-    """Kaplan-Meier estimator of the censoring distribution (delta = 0 is the event).
-
-    ``times`` are the unique observed outcomes and ``cdf`` the
-    right-continuous values G(times[k]).  Use :meth:`eval_left` for the left
-    limit G(t-).
-    """
-
-    times: np.ndarray
-    cdf: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", _frozen(self.times))
-        object.__setattr__(self, "cdf", _frozen(self.cdf))
-
-    def eval_left(self, t):
-        """G(t-): the value just before t; 0 at or below the smallest observation."""
-        idx = np.searchsorted(self.times, t, side="left")
-        padded = np.concatenate(([0.0], self.cdf))
-        return padded[idx]
 
 
 @dataclass(frozen=True)
@@ -81,39 +58,35 @@ class InferenceResult:
     level: float
 
 
-def censoring_km(sorted_sample: SortedSample) -> CensoringKM:
+def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
     """Kaplan-Meier fit of the censoring distribution on the observed sample.
 
-    Ties follow the sorted sample's convention: failures precede censorings
-    at equal times, so censoring events see the risk set already reduced by
-    the failures at that time.
+    Returns the right-continuous G(t) at each tie group's outcome t, as a
+    read-only array indexed like ``sorted_sample.tie_groups()``.  Ties follow
+    the sorted sample's convention: failures precede censorings at equal
+    times, so censoring events see the risk set already reduced by the
+    failures at that time.
     """
-    base = sorted_sample.base
-    n = base.n
-    idx = np.arange(n, dtype=float)
-    # survival factor ((n-j)/(n-j+1)) ** (1 - delta_(j)) at sorted position j
-    factors = np.where(base.delta == 0, (n - 1 - idx) / (n - idx), 1.0)
-    surv = np.cumprod(factors)
-    _, first, stop = sorted_sample.tie_groups()
-    return CensoringKM(times=base.y[first], cdf=1.0 - surv[stop - 1])
+    _, _, stop = sorted_sample.tie_groups()
+    return _frozen(1.0 - _product_limit(sorted_sample.base.delta == 0)[stop - 1])
 
 
 def _tail_terms(sorted_sample: SortedSample, floor: float) -> tuple:
-    """Sample-only part of psi: the tie groups, each row's floored 1 - G(Y-), each
-    group's floored 1 - H and the floored count."""
+    """Sample-only part of psi: each row's floored 1 - G(Y-), each group's floored
+    1 - H and the floored count."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
-    group, first, stop = sorted_sample.tie_groups()
-    denom_g = 1.0 - censoring_km(sorted_sample).eval_left(sorted_sample.base.y)
+    group, _, stop = sorted_sample.tie_groups()
+    # G(Y-) of a row is G at the tie group below its own, and 0 in the lowest group
+    denom_g = 1.0 - np.concatenate(([0.0], censoring_km(sorted_sample)))[group]
     surv_h = (n - stop) / n  # 1 - H(Y) on each group
     # gamma2 uses the censored rows below the top group
     floored_h = (delta == 0) & (stop[group] < n) & (surv_h[group] < floor)
     n_floored = int(((denom_g < floor) & (delta == 1)).sum() + floored_h.sum())
-    return group, first, stop, np.maximum(denom_g, floor), np.maximum(surv_h, floor), n_floored
+    return np.maximum(denom_g, floor), np.maximum(surv_h, floor), n_floored
 
 
 def compute_psi(
     sorted_sample: SortedSample,
-    kw: KMWeightSet,
     beta: np.ndarray,
     alpha: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -123,6 +96,8 @@ def compute_psi(
     xi_(i) = Y_(i) - X_(i)' beta - alpha_(i); pass None for a fit without
     shift parameters.  Emits DegenerateTailWarning when any used tail
     denominator falls below DENOM_FLOOR (it is floored, not propagated).
+
+    The result is the transpose of a contiguous (p, n) array.
 
     Per sample, computed by the first call and kept on the sorted sample: the
     tie groups, the censoring KM fit and G(Y_(i)-), the floored 1 - G and
@@ -136,8 +111,9 @@ def compute_psi(
         alpha = np.zeros(n)
     xi = y - x @ beta - np.asarray(alpha, dtype=float)
     floor = DENOM_FLOOR  # part of the key, so a changed floor builds its own terms
+    group, first, stop = sorted_sample.tie_groups()
     tails = _memo(sorted_sample, ("psi", floor), lambda: _tail_terms(sorted_sample, floor))
-    group, first, stop, denom_g, denom_h, n_floored = tails
+    denom_g, denom_h, n_floored = tails
 
     # everything below is (p, rows) or (p, groups), so each pass runs along the long axis
     # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-))
@@ -166,9 +142,7 @@ def compute_psi(
             stacklevel=2,
         )
 
-    psi = np.empty((n, p))  # filled through its (p, n) transpose
-    np.subtract(c + (1 - delta) * np.take(gamma1, group, 1), np.take(gamma2, group, 1), out=psi.T)
-    return psi
+    return (c + (1 - delta) * np.take(gamma1, group, 1) - np.take(gamma2, group, 1)).T
 
 
 def sandwich_ci(
@@ -190,16 +164,19 @@ def sandwich_ci(
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     alpha = np.divide(fit.alpha_w, kw.sqrt_w, out=np.zeros(kw.w.shape[0]), where=kw.w > 0)
-    psi = compute_psi(sorted_sample, kw, fit.beta, alpha)
-    n = psi.shape[0]
+    psi_t = compute_psi(sorted_sample, fit.beta, alpha).T  # contiguous (p, n)
+    n = psi_t.shape[1]
 
-    centered = psi - psi.mean(axis=0)
-    sigma_hat = centered.T @ centered / n
+    # the mean is a running sum, which adds in the same order as a column mean
+    # over (n, p) rows; mean(axis=1) sums pairwise and would move the last bits
+    # of every interval
+    centered = psi_t - np.cumsum(psi_t, axis=1)[:, -1:] / n
+    sigma_hat = centered @ centered.T / n
 
     unshifted = fit.alpha_w == 0.0
     context = f"sandwich bread over the {int(unshifted.sum())} of {n} rows with zero shift"
     design = build_weighted_design(sorted_sample, kw)
-    sigma_x, sigma_x_inv = design.solve(np.eye(psi.shape[1]), unshifted, context)
+    sigma_x, sigma_x_inv = design.solve(np.eye(psi_t.shape[0]), unshifted, context)
     cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
     cov_beta = (cov_beta + cov_beta.T) / 2.0
 

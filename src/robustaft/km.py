@@ -53,15 +53,21 @@ def km_weights(sorted_sample: SortedSample) -> KMWeightSet:
     """
     delta = sorted_sample.base.delta
     n = delta.shape[0]
-    idx = np.arange(n - 1, dtype=float)  # 0-based j = 1..n-1 in the formula
-    factors = np.where(delta[:-1] == 1, (n - 1 - idx) / (n - idx), 1.0)
-    running = np.concatenate(([1.0], np.cumprod(factors)))
+    running = np.concatenate(([1.0], _product_limit(delta == 1)[:-1]))
     w = delta / (n - np.arange(n, dtype=float)) * running
     return KMWeightSet(
         w=w,
         sqrt_w=np.sqrt(w),
         pi_uc_hat=float(delta.mean()),
     )
+
+
+def _product_limit(event: np.ndarray) -> np.ndarray:
+    """Kaplan-Meier survival just after each sorted row, treating ``event`` as the event:
+    prod_{j<=i} ((n - 1 - j) / (n - j)) ** event_(j) in 0-based order."""
+    n = event.shape[0]
+    idx = np.arange(n, dtype=float)
+    return np.cumprod(np.where(event, (n - 1 - idx) / (n - idx), 1.0))
 
 
 def lambda_rule(n: int, pi_uc_hat: float, lambda0: float) -> float:

@@ -247,6 +247,9 @@ def test_fit_output_is_pinned_to_the_byte(capsys, tmp_path, fmt):
         (["fit", "{csv}", "--tau0", "inf"], "tau0 must be nonnegative and finite"),
         (["fit", "{csv}", "--method", "penalized", "--tau0", "inf"], "tau0 must be nonnegative and finite"),
         (["fit", "{csv}", "--method", "stute", "--tau0", "-1"], "tau0 must be nonnegative and finite"),
+        (["fit", "{csv}", "--method", "stute", "--lambda0", "nan"], "lambda0 must be positive"),
+        (["fit", "{csv}", "--method", "stute", "--lambda", "-1"], "lambda_override must be"),
+        (["fit", "{csv}", "--method", "stute", "--max-iter", "0"], "max_iter must be a positive"),
     ],
 )
 def test_bad_input_exits_one(capsys, uncensored_csv, argv, message):

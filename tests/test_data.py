@@ -126,9 +126,10 @@ class TestCsv:
 
     def test_rejects_nan_entry(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("y,delta,x1\n1,1,1\n2,1,nan\n3,1,1\n")
-        with pytest.raises(ValueError, match="row 3.*non-finite"):
-            load_csv(path)
+        for text in ("nan", "inf", "-inf", "1e999"):
+            path.write_text(f"y,delta,x1\n1,1,1\n2,1,{text}\n3,1,1\n")
+            with pytest.raises(ValueError, match="row 3.*non-finite"):
+                load_csv(path)
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
