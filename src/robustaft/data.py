@@ -9,6 +9,7 @@ all-ones column if you want one.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -111,53 +112,135 @@ def _runs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sort_sample(sample: SurvivalSample) -> SortedSample:
     """Stable sort by (y ascending, delta descending) and record the permutation."""
     order = np.lexsort((-sample.delta, sample.y))
-    base = SurvivalSample(y=sample.y[order], delta=sample.delta[order], x=sample.x[order])
+    base = _adopt(y=sample.y[order], delta=sample.delta[order], x=sample.x[order])
     return SortedSample(base=base, perm=order)
+
+
+def _adopt(y: np.ndarray, delta: np.ndarray, x: np.ndarray) -> SurvivalSample:
+    """A sample over fresh arrays that already pass ``SurvivalSample``'s checks
+    (here, rows gathered from a valid sample): frozen in place, not checked or copied."""
+    sample = object.__new__(SurvivalSample)
+    for name, a in (("y", y), ("delta", delta), ("x", x)):
+        a.flags.writeable = False
+        object.__setattr__(sample, name, a)
+    return sample
+
+
+# The bytes a body may hold for the bulk parse.  On this alphabet every table
+# ``np.loadtxt`` returns is what the csv module and ``float()`` read, to the bit,
+# as long as no field passes the csv field size limit.
+_BULK_ALPHABET = b"0123456789eE+-., \t\r\n"
 
 
 def load_csv(path) -> SurvivalSample:
     """Read a sample from a CSV file with header ``y,delta,x1,...,xp``.
 
+    The csv module reads and checks the header.  The body then takes one of
+    two paths, both ending in the same ``SurvivalSample`` constructor (whose
+    n > p check applies to either):
+
+    - **Bulk:** one ``np.loadtxt`` pass over the rest of the file, taken only
+      when the file can be rewound, the body is ASCII drawn from the digits,
+      ``eE+-.,``, space, tab, CR and LF, no LF-separated line reaches
+      ``csv.field_size_limit()`` (``loadtxt`` has no such limit), and the
+      parsed table has p + 2 columns, at least one row, finite entries and
+      every delta 0 or 1.  On that alphabet ``loadtxt`` rejects any CR not
+      followed by LF, skips only empty lines and converts with the same
+      correctly rounded routine as ``float()``.
+    - **Scan:** anything else (``nan``, ``inf``, ``1_0``, quoted fields, other
+      whitespace, non-ASCII digits, long fields, malformed rows) rewinds and
+      is read row by row with the csv module and ``float()``.  Every error
+      about the file's text comes from this path.
+
     Row numbers in error messages are 1-based file lines (the header is
-    line 1).  Raises ValueError on any malformed content, including text the
-    csv module cannot split into fields.
+    line 1); a record spanning several lines is named by the line it ends
+    on.  Raises ValueError on any malformed content, including text the csv
+    module cannot split into fields.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            p = len(header) - 2
-            expected = ["y", "delta"] + [f"x{k}" for k in range(1, p + 1)]
-            if p < 1 or header != expected:
-                raise ValueError(
-                    f"{path}: header must be 'y,delta,x1,...,xp', got {','.join(header)!r}"
-                )
-            ys, deltas, rows = [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != p + 2:
-                    raise ValueError(f"{path}: row {lineno}: expected {p + 2} fields, got {len(row)}")
-                vals = []
-                for col, (name, text) in enumerate(zip(expected, row), start=1):
-                    try:
-                        vals.append(float(text))
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: row {lineno}, column {col} ({name}): cannot parse {text.strip()!r}"
-                        ) from None
-                if vals[1] not in (0.0, 1.0):
-                    raise ValueError(f"{path}: row {lineno}: delta must be 0 or 1, got {row[1].strip()}")
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError(f"{path}: row {lineno}: non-finite entry")
-                ys.append(vals[0])
-                deltas.append(int(vals[1]))
-                rows.append(vals[2:])
-        except csv.Error as err:
-            raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+        if fh.seekable():
+            table = _parse_bulk(fh, path)
+            if table is not None:
+                return SurvivalSample(y=table[:, 0], delta=table[:, 1], x=table[:, 2:])
+            fh.seek(0)
+        return _scan(fh, path)
+
+
+def _parse_bulk(fh, path) -> np.ndarray | None:
+    """The body as an (n, p + 2) table, or None when it needs the scan."""
+    try:
+        width = len(_read_header(csv.reader(fh), path))
+        body = fh.read()
+    except (csv.Error, ValueError):
+        return None
+    # A blank body makes loadtxt warn; the scan reports it as "no data rows".
+    if not body or body.isspace() or not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    if raw.translate(None, _BULK_ALPHABET):
+        return None
+    # Each gap between LFs is a line's length plus one; fall back when a line
+    # reaches the csv field size limit, which loadtxt does not enforce.
+    line_ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    if np.diff(line_ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if table.shape[0] < 1 or table.shape[1] != width:
+        return None
+    delta = table[:, 1]
+    if not (((delta == 0.0) | (delta == 1.0)).all() and np.isfinite(table).all()):
+        return None
+    return table
+
+
+def _read_header(reader, path) -> list[str]:
+    """The column names ``y, delta, x1, ..., xp``, after checking the header row against them."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    p = len(header) - 2
+    expected = ["y", "delta"] + [f"x{k}" for k in range(1, p + 1)]
+    if p < 1 or header != expected:
+        raise ValueError(
+            f"{path}: header must be 'y,delta,x1,...,xp', got {','.join(header)!r}"
+        )
+    return expected
+
+
+def _scan(fh, path) -> SurvivalSample:
+    """Read the CSV text stream ``fh`` row by row with the csv module and ``float()``."""
+    reader = csv.reader(fh)
+    try:
+        expected = _read_header(reader, path)
+        p = len(expected) - 2
+        ys, deltas, rows = [], [], []
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != p + 2:
+                raise ValueError(f"{path}: row {lineno}: expected {p + 2} fields, got {len(row)}")
+            vals = []
+            for col, (name, text) in enumerate(zip(expected, row), start=1):
+                try:
+                    vals.append(float(text))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {lineno}, column {col} ({name}): cannot parse {text.strip()!r}"
+                    ) from None
+            if vals[1] not in (0.0, 1.0):
+                raise ValueError(f"{path}: row {lineno}: delta must be 0 or 1, got {row[1].strip()}")
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}: row {lineno}: non-finite entry")
+            ys.append(vals[0])
+            deltas.append(int(vals[1]))
+            rows.append(vals[2:])
+    except csv.Error as err:
+        raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
     if not ys:
         raise ValueError(f"{path}: no data rows")
     return SurvivalSample(y=np.array(ys), delta=np.array(deltas), x=np.array(rows))

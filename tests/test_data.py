@@ -1,7 +1,10 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 
-from robustaft import SurvivalSample, load_csv, sort_sample, write_csv
+from robustaft import SurvivalSample, data, load_csv, sort_sample, write_csv
 
 
 def make_sample(y, delta, x=None):
@@ -32,6 +35,13 @@ class TestValidation:
         s = make_sample([1.0, 2.0, 3.0], [1, 0, 1])
         with pytest.raises(ValueError):
             s.y[0] = 9.0
+        # the sorted base is built without re-validation; it must still own frozen arrays
+        base = sort_sample(make_sample([3.0, 1.0, 2.0], [1, 0, 1], np.ones((3, 2)))).base
+        for a in (base.y, base.delta, base.x):
+            assert a.flags.owndata and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 9
+        assert base.delta.dtype == np.int64 and base.x.shape == (3, 2)
 
 
 class TestSort:
@@ -149,3 +159,118 @@ class TestCsv:
         assert np.array_equal(loaded.x, reloaded.x)
         assert np.array_equal(s.y, loaded.y)
         assert np.array_equal(s.x, loaded.x)
+
+    def test_multi_line_record_names_the_file_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'y,delta,x1\n"1\n",1,2\n2,1,zz\n')
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: row 4, column 3 (x1): cannot parse 'zz'"
+
+    def test_blank_body_raises_no_data_rows_without_warnings(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"y,delta,x1\n\n\r\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(path)
+
+
+def _outcome(load):
+    """A loaded sample as (dtype, shape, bytes) per array, or the error message."""
+    try:
+        s = load()
+    except ValueError as err:
+        return str(err)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (s.y, s.delta, s.x)]
+
+
+ROWS = "1,1,2\n2,0,3\n3,1,5\n"
+PAD = 199_999  # with the final "3", a 200 000-character field
+# case id -> (file text, whether load_csv must hand it to the row scan)
+BULK_VS_SCAN = {
+    "underscore": ("y,delta,x1\n1_0,1,2\n" + ROWS, True),
+    "space-nan": ("y,delta,x1\n1,1, nan\n" + ROWS, True),
+    "mixed-case-infinity": ("y,delta,x1\niNfInItY,1,2\n" + ROWS, True),
+    "overflow": ("y,delta,x1\n1e999,1,2\n" + ROWS, True),
+    "leading-plus": ("y,delta,x1\n+1,+1,+2\n" + ROWS, False),
+    "trailing-dot": ("y,delta,x1\n1.,1.,2.\n" + ROWS, False),
+    "lone-dot": ("y,delta,x1\n.,1,2\n" + ROWS, True),
+    "negative-zero": ("y,delta,x1\n-0,-0,-0.0\n" + ROWS, False),
+    "float-delta": ("y,delta,x1\n1,1.0,2\n2,0.0,3\n2,1e0,4\n", False),
+    "quoted-number": ('y,delta,x1\n"1",1,2\n' + ROWS, True),
+    "trailing-comma": ("y,delta,x1\n1,1,2,\n" + ROWS, True),
+    "cr-only": ("y,delta,x1\r1,1,2\r2,0,3\r3,1,5\r", True),
+    "crlf": ("y,delta,x1\r\n1,1,2\r\n2,0,3\r\n3,1,5\r\n", False),
+    "blank-lines": ("y,delta,x1\n\n1,1,2\n\n\n2,0,3\r\n\n3,1,5", False),
+    "whitespace-line": ("y,delta,x1\n1,1,2\n \t\n" + ROWS, True),
+    "info-separator": ("y,delta,x1\n\x1c3,1,2\n" + ROWS, True),
+    "zero-padded-field": ("y,delta,x1\n" + ROWS + "4,1," + "0" * PAD + "3\n", True),
+    "space-padded-field": ("y,delta,x1\n" + ROWS + "4,1," + " " * PAD + "3\n", True),
+    "vt-padded-field": ("y,delta,x1\n" + ROWS + "4,1," + "\v" * PAD + "3\n", True),
+    "bad-delta": ("y,delta,x1\n" + ROWS + "4,0.5,1\n", True),
+    "n-not-above-p": ("y,delta,x1,x2\n1,1,2,3\n2,0,3,4\n", False),
+}
+
+
+class TestBulkParse:
+    """``load_csv``'s bulk path gives the row scan's bits or the row scan's message."""
+
+    @staticmethod
+    def _spy_on_scan(monkeypatch):
+        calls = []
+        scan = data._scan
+
+        def spy(fh, path):
+            calls.append(path)
+            return scan(fh, path)
+
+        monkeypatch.setattr(data, "_scan", spy)
+        return calls
+
+    @pytest.mark.parametrize("text, via_scan", BULK_VS_SCAN.values(), ids=BULK_VS_SCAN.keys())
+    def test_matches_the_row_scan(self, tmp_path, monkeypatch, text, via_scan):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("ascii"))
+        with open(path, newline="") as fh:
+            want = _outcome(lambda: data._scan(fh, path))
+        calls = self._spy_on_scan(monkeypatch)
+        assert _outcome(lambda: load_csv(path)) == want
+        assert bool(calls) == via_scan
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_that_needs_the_scan(self, tmp_path):
+        text = BULK_VS_SCAN["underscore"][0].encode("ascii")
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        read_end, write_end = os.pipe()
+        os.write(write_end, text)
+        os.close(write_end)
+        try:
+            got = _outcome(lambda: load_csv(f"/dev/fd/{read_end}"))
+        finally:
+            os.close(read_end)
+        assert got == _outcome(lambda: load_csv(path))
+
+    def test_keeps_the_sign_of_zero(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(BULK_VS_SCAN["negative-zero"][0].encode("ascii"))
+        s = load_csv(path)
+        assert np.signbit(s.y[0]) and np.signbit(s.x[0, 0]) and s.delta[0] == 0
+
+    def test_clean_file_never_enters_the_scan(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 10_000
+        s = SurvivalSample(
+            y=rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, size=n),
+            delta=(rng.random(n) < 0.6).astype(int),
+            x=np.column_stack([np.ones(n), rng.standard_cauchy(size=n)]),
+        )
+        path = tmp_path / "d.csv"
+        write_csv(s, path)
+        with open(path, newline="") as fh:
+            want = _outcome(lambda: data._scan(fh, path))
+        assert want == _outcome(lambda: s)
+        calls = self._spy_on_scan(monkeypatch)
+        assert _outcome(lambda: load_csv(path)) == want
+        assert calls == []
