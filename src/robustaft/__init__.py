@@ -14,7 +14,7 @@ from .inference import (
     compute_psi,
     sandwich_ci,
 )
-from .km import KMWeightSet, km_weights, lambda_rule
+from .km import km_weights, lambda_rule
 from .penalized import PenalizedConfig, fit_penalized, soft_threshold_step
 from .simulation import (
     DESK_PROFILE,
@@ -45,7 +45,6 @@ __all__ = [
     "DgpConfig",
     "Fit",
     "InferenceResult",
-    "KMWeightSet",
     "MonteCarloReport",
     "PAPER_PROFILE",
     "PenalizedConfig",

@@ -7,6 +7,7 @@ so table, csv and json-lines carry identical values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -123,12 +124,14 @@ def cmd_simulate(args) -> int:
     reps = profile.reps if args.reps is None else args.reps
     if args.threads < 1:
         raise ValueError("threads must be a positive integer")
-    report = run_study(grid=profile.mu_grid, reps=reps, base_cfg=DgpConfig(n=n, seed=args.seed))
+    # open the output first, so an unwritable path fails before the study runs
     if args.output == "-":
-        report.to_csv(sys.stdout)
+        out = contextlib.nullcontext(sys.stdout)
     else:
-        with open(args.output, "w", newline="") as fh:
-            report.to_csv(fh)
+        out = open(args.output, "w", newline="")
+    with out as fh:
+        report = run_study(grid=profile.mu_grid, reps=reps, base_cfg=DgpConfig(n=n, seed=args.seed))
+        report.to_csv(fh)
     return 0
 
 
@@ -195,7 +198,7 @@ def main(argv=None) -> int:
     except SingularGramError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -82,38 +82,35 @@ class SurvivalSample:
 
 @dataclass(frozen=True)
 class SortedSample:
-    """A sample reordered by nondecreasing y, with the sorting permutation.
+    """A sample reordered by nondecreasing y, with the sorting permutation and
+    the tie groups; made by ``sort_sample``.
 
     ``perm`` maps sorted position -> original row index, so
     ``base.y[i] == original.y[perm[i]]``.  Within a tie group of equal y,
     uncensored observations come first (deaths before censorings, the
-    standard Kaplan-Meier convention).
+    standard Kaplan-Meier convention).  Sorted row i lies in tie group
+    ``group[i]``, which spans rows ``first[g]:stop[g]``.
     """
 
     base: SurvivalSample
     perm: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm", _frozen(np.asarray(self.perm, dtype=np.int64)))
-
-    def tie_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(group, first, stop)``: sorted row i lies in tie group ``group[i]``, which
-        spans rows ``first[g]:stop[g]``; found once per sample from the runs of equal y."""
-        return _memo(self, ("tie_groups",), lambda: _runs(self.base.y))
-
-
-def _runs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
-    stop = np.append(first[1:], y.shape[0])
-    group = np.repeat(np.arange(first.shape[0]), stop - first)
-    return _frozen(group), _frozen(first), _frozen(stop)
+    group: np.ndarray
+    first: np.ndarray
+    stop: np.ndarray
 
 
 def sort_sample(sample: SurvivalSample) -> SortedSample:
-    """Stable sort by (y ascending, delta descending) and record the permutation."""
+    """Stable sort by (y ascending, delta descending), recording the permutation
+    and the tie groups (the runs of equal y)."""
     order = np.lexsort((-sample.delta, sample.y))
-    base = _adopt(y=sample.y[order], delta=sample.delta[order], x=sample.x[order])
-    return SortedSample(base=base, perm=order)
+    y = sample.y[order]
+    first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    stop = np.append(first[1:], y.shape[0])
+    group = np.repeat(np.arange(first.shape[0]), stop - first)
+    for a in (order, group, first, stop):
+        a.flags.writeable = False
+    base = _adopt(y=y, delta=sample.delta[order], x=sample.x[order])
+    return SortedSample(base=base, perm=order, group=group, first=first, stop=stop)
 
 
 def _adopt(y: np.ndarray, delta: np.ndarray, x: np.ndarray) -> SurvivalSample:

@@ -31,8 +31,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import SortedSample, _frozen, _memo
-from .km import KMWeightSet, _product_limit
-from .wls import Fit, build_weighted_design
+from .km import _product_limit
+from .wls import Fit, WeightedDesign, build_weighted_design
 
 # Tail denominators 1 - G(t-) and 1 - H(t) are floored here; sufficient
 # follow-up keeps them away from zero asymptotically but finite samples may
@@ -62,20 +62,19 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
     """Kaplan-Meier fit of the censoring distribution on the observed sample.
 
     Returns the right-continuous G(t) at each tie group's outcome t, as a
-    read-only array indexed like ``sorted_sample.tie_groups()``.  Ties follow
+    read-only array indexed like ``sorted_sample.first``.  Ties follow
     the sorted sample's convention: failures precede censorings at equal
     times, so censoring events see the risk set already reduced by the
     failures at that time.
     """
-    _, _, stop = sorted_sample.tie_groups()
-    return _frozen(1.0 - _product_limit(sorted_sample.base.delta == 0)[stop - 1])
+    return _frozen(1.0 - _product_limit(sorted_sample.base.delta == 0)[sorted_sample.stop - 1])
 
 
 def _tail_terms(sorted_sample: SortedSample, floor: float) -> tuple:
     """Sample-only part of psi: each row's floored 1 - G(Y-), each group's floored
     1 - H and the floored count."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
-    group, _, stop = sorted_sample.tie_groups()
+    group, stop = sorted_sample.group, sorted_sample.stop
     # G(Y-) of a row is G at the tie group below its own, and 0 in the lowest group
     denom_g = 1.0 - np.concatenate(([0.0], censoring_km(sorted_sample)))[group]
     surv_h = (n - stop) / n  # 1 - H(Y) on each group
@@ -100,9 +99,10 @@ def compute_psi(
     The result is the transpose of a contiguous (p, n) array.
 
     Per sample, computed by the first call and kept on the sorted sample: the
-    tie groups, the censoring KM fit and G(Y_(i)-), the floored 1 - G and
-    1 - H denominators and the floored count.  Per fit, on every call: the
-    summands c, two cumulative sums and the gathers from tie groups to rows.
+    censoring KM fit and G(Y_(i)-), the floored 1 - G and 1 - H denominators
+    and the floored count (the tie groups come with the sorted sample).  Per
+    fit, on every call: the summands c, two cumulative sums and the gathers
+    from tie groups to rows.
     """
     base = sorted_sample.base
     y, delta, x = base.y, base.delta, base.x
@@ -111,7 +111,7 @@ def compute_psi(
         alpha = np.zeros(n)
     xi = y - x @ beta - np.asarray(alpha, dtype=float)
     floor = DENOM_FLOOR  # part of the key, so a changed floor builds its own terms
-    group, first, stop = sorted_sample.tie_groups()
+    group, first, stop = sorted_sample.group, sorted_sample.first, sorted_sample.stop
     tails = _memo(sorted_sample, ("psi", floor), lambda: _tail_terms(sorted_sample, floor))
     denom_g, denom_h, n_floored = tails
 
@@ -147,7 +147,7 @@ def compute_psi(
 
 def sandwich_ci(
     sorted_sample: SortedSample,
-    kw: KMWeightSet,
+    kw: WeightedDesign,
     fit: Fit,
     level: float = 0.95,
 ) -> InferenceResult:

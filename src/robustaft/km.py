@@ -3,44 +3,23 @@
 The weights turn a right-censored least-squares problem into a weighted one:
 w_(i) is the jump of the Kaplan-Meier distribution estimator at the i-th
 order statistic, so censored observations get weight zero and the remaining
-mass is pushed to later uncensored observations.
+mass is pushed to later uncensored observations.  ``km_weights`` returns the
+weights together with the sample's weighted least-squares problem, which every
+estimator then shares.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SortedSample, _frozen
+from .data import SortedSample
+from .wls import WeightedDesign
 
 
-@dataclass(frozen=True)
-class KMWeightSet:
-    """Kaplan-Meier weights aligned to sorted order.
-
-    Attributes
-    ----------
-    w : (n,) array
-        Weights w_(i) in [0, 1]; zero exactly where delta_(i) = 0.
-    sqrt_w : (n,) array
-        Elementwise square roots of ``w``.
-    pi_uc_hat : float
-        Fraction of uncensored observations, mean(delta).
-    """
-
-    w: np.ndarray
-    sqrt_w: np.ndarray
-    pi_uc_hat: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _frozen(self.w))
-        object.__setattr__(self, "sqrt_w", _frozen(self.sqrt_w))
-
-
-def km_weights(sorted_sample: SortedSample) -> KMWeightSet:
-    """Compute Kaplan-Meier weights for a sorted sample.
+def km_weights(sorted_sample: SortedSample) -> WeightedDesign:
+    """Kaplan-Meier weights of a sorted sample and its weighted design.
 
     In 1-based sorted order,
 
@@ -51,14 +30,19 @@ def km_weights(sorted_sample: SortedSample) -> KMWeightSet:
     lies in (0, 1], so the only failure mode is harmless underflow to zero
     for astronomically large n.
     """
-    delta = sorted_sample.base.delta
+    base = sorted_sample.base
+    delta = base.delta
     n = delta.shape[0]
     running = np.concatenate(([1.0], _product_limit(delta == 1)[:-1]))
     w = delta / (n - np.arange(n, dtype=float)) * running
-    return KMWeightSet(
-        w=w,
-        sqrt_w=np.sqrt(w),
-        pi_uc_hat=float(delta.mean()),
+    sqrt_w = np.sqrt(w)
+    xw = base.x * sqrt_w[:, None]
+    yw = base.y * sqrt_w
+    gram = xw.T @ xw
+    for a in (w, sqrt_w, xw, yw, gram):
+        a.flags.writeable = False
+    return WeightedDesign(
+        w=w, sqrt_w=sqrt_w, pi_uc_hat=float(delta.mean()), xw=xw, yw=yw, gram=gram
     )
 
 

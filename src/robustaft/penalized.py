@@ -18,23 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SortedSample
-from .km import KMWeightSet, lambda_rule
-from .wls import Fit, build_weighted_design, wls_solve
+from .km import lambda_rule
+from .wls import Fit, WeightedDesign, build_weighted_design, wls_solve
 
 
 @dataclass(frozen=True)
 class PenalizedConfig:
     """Solver settings.
 
-    The default is a fixed 10 cycles (``tol = 0``); results are insensitive
-    to the count once it is large enough.  Set ``tol > 0`` to stop early when
-    the objective decrease per cycle falls below it.  ``lambda_override``
+    The solver runs exactly ``max_iter`` cycles (10 by default); results are
+    insensitive to the count once it is large enough.  ``lambda_override``
     bypasses the n ** (lambda0 - pi_uc_hat / 2) rule.
     """
 
     lambda0: float = 1e-4
     max_iter: int = 10
-    tol: float = 0.0
     lambda_override: float | None = None
 
     def __post_init__(self):
@@ -42,8 +40,6 @@ class PenalizedConfig:
             raise ValueError("lambda0 must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
         if self.lambda_override is not None and not 0 < self.lambda_override < math.inf:
             raise ValueError("lambda_override must be positive and finite")
 
@@ -67,7 +63,7 @@ def _objective(design_resid: np.ndarray, aw: np.ndarray, lam: float) -> float:
 
 def fit_penalized(
     sorted_sample: SortedSample,
-    kw: KMWeightSet,
+    kw: WeightedDesign,
     cfg: PenalizedConfig = PenalizedConfig(),
 ) -> Fit:
     """Alternating minimization for the l1-penalized weighted regression.
@@ -87,15 +83,11 @@ def fit_penalized(
 
     aw = np.zeros(n)
     trace: list[float] = []
-    iterations = 0
     for _ in range(cfg.max_iter):
         beta = wls_solve(design, design.yw - aw)
         resid = design.yw - design.xw @ beta
         aw = soft_threshold_step(resid, lam)
         trace.append(_objective(resid - aw, aw, lam))
-        iterations += 1
-        if cfg.tol > 0 and iterations >= 2 and trace[-2] - trace[-1] < cfg.tol:
-            break
 
     beta = wls_solve(design, design.yw - aw)
     trace.append(_objective(design.yw - design.xw @ beta - aw, aw, lam))
@@ -104,6 +96,6 @@ def fit_penalized(
         beta=beta,
         alpha_w=aw,
         lam=float(lam),
-        iterations=iterations,
+        iterations=cfg.max_iter,
         objective_trace=np.array(trace),
     )

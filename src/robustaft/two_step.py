@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SortedSample
-from .km import KMWeightSet
-from .wls import Fit, build_weighted_design
+from .wls import Fit, WeightedDesign, build_weighted_design
 
 DEFAULT_TAU0 = 0.3
 
@@ -26,7 +25,7 @@ def detect_outliers(fit: Fit, tau0: float = DEFAULT_TAU0) -> np.ndarray:
 
 def fit_two_step(
     sorted_sample: SortedSample,
-    kw: KMWeightSet,
+    kw: WeightedDesign,
     fit: Fit,
     tau0: float = DEFAULT_TAU0,
 ) -> Fit:

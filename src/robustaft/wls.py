@@ -2,8 +2,10 @@
 
 The weighted design has rows sqrt(w_(i)) * X_(i); solving least squares on it
 is the Kaplan-Meier-weighted regression (the Stute estimator when the target
-is the weighted outcome itself).  The p x p Gram matrix is factorized directly
-since p is small and fixed while n dominates.
+is the weighted outcome itself).  ``km.km_weights`` builds one design per
+sorted sample, and every fit and sandwich of that sample solves on it.  The
+p x p Gram matrix is factorized directly since p is small and fixed while n
+dominates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 import scipy.linalg
 
 from .data import SortedSample, _frozen, _memo
-from .km import KMWeightSet
 
 # Relative eigenvalue cutoff below which the Gram matrix is treated as singular.
 GRAM_RTOL = 1e-12
@@ -30,20 +31,21 @@ class SingularGramError(Exception):
 
 @dataclass(frozen=True)
 class WeightedDesign:
-    """Design scaled by square-root Kaplan-Meier weights.
+    """Kaplan-Meier weights of a sorted sample and its design scaled by their square roots.
 
-    ``xw`` has rows sqrt(w_(i)) X_(i), ``yw`` entries sqrt(w_(i)) Y_(i), and
-    ``gram`` is xw.T @ xw.  Rows with zero weight are exactly zero.
+    ``w`` holds the weights w_(i) in [0, 1], zero exactly where delta_(i) = 0;
+    ``sqrt_w`` their square roots; ``pi_uc_hat`` the uncensored fraction
+    mean(delta).  ``xw`` has rows sqrt(w_(i)) X_(i), ``yw`` entries
+    sqrt(w_(i)) Y_(i), and ``gram`` is xw.T @ xw.  Rows with zero weight are
+    exactly zero.  Made by ``km.km_weights``, which freezes the arrays in place.
     """
 
+    w: np.ndarray
+    sqrt_w: np.ndarray
+    pi_uc_hat: float
     xw: np.ndarray
     yw: np.ndarray
     gram: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xw", _frozen(self.xw))
-        object.__setattr__(self, "yw", _frozen(self.yw))
-        object.__setattr__(self, "gram", _frozen(self.gram))
 
     def solve(
         self, rhs: np.ndarray, keep: np.ndarray | None = None, context: str = ""
@@ -109,19 +111,12 @@ class Fit:
         return self.beta
 
 
-def build_weighted_design(sorted_sample: SortedSample, kw: KMWeightSet) -> WeightedDesign:
-    """Scale rows of the sorted design and outcome by sqrt(w) and accumulate the Gram
-    matrix; built once per (sorted_sample, kw) pair and kept on the sample."""
-    base = sorted_sample.base
-    if kw.w.shape[0] != base.n:
+def build_weighted_design(sorted_sample: SortedSample, kw: WeightedDesign) -> WeightedDesign:
+    """The weighted design of ``sorted_sample``, which ``km_weights`` built: ``kw``
+    itself, after checking that it has one row per observation."""
+    if kw.w.shape[0] != sorted_sample.base.n:
         raise ValueError("weight vector length does not match the sample")
-
-    def build():
-        xw = base.x * kw.sqrt_w[:, None]
-        return kw, WeightedDesign(xw=xw, yw=base.y * kw.sqrt_w, gram=xw.T @ xw)
-
-    # the entry holds kw, so its id is not reused while the entry lives
-    return _memo(sorted_sample, ("design", id(kw)), build)[1]
+    return kw
 
 
 def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
@@ -133,7 +128,7 @@ def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
     return design.solve(design.xw.T @ target_w)[1]
 
 
-def stute_fit(sorted_sample: SortedSample, kw: KMWeightSet) -> Fit:
+def stute_fit(sorted_sample: SortedSample, kw: WeightedDesign) -> Fit:
     """Kaplan-Meier-weighted least squares of Y on X (the non-robust baseline)."""
     design = build_weighted_design(sorted_sample, kw)
     return Fit(beta=wls_solve(design, design.yw), alpha_w=np.zeros(design.yw.shape[0]))

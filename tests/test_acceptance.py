@@ -67,7 +67,7 @@ def test_criterion_2_convex_solver_equivalence():
         sample = random_instance(rng)
         ss = sort_sample(sample)
         kw = km_weights(ss)
-        fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=2000, tol=1e-13))
+        fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=2000))
         d = build_weighted_design(ss, kw)
         oracle = l1_shift_objective_min(d.xw, d.yw, fit.lam)
         worst_rel = max(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from robustaft import SurvivalSample, write_csv
+import robustaft.cli as cli_mod
 from robustaft.cli import main
 from oracles import ols_lstsq
 
@@ -250,6 +251,8 @@ def test_fit_output_is_pinned_to_the_byte(capsys, tmp_path, fmt):
         (["fit", "{csv}", "--method", "stute", "--lambda0", "nan"], "lambda0 must be positive"),
         (["fit", "{csv}", "--method", "stute", "--lambda", "-1"], "lambda_override must be"),
         (["fit", "{csv}", "--method", "stute", "--max-iter", "0"], "max_iter must be a positive"),
+        # 7.1 PiB: more than any address space, so the allocation fails before a page is touched
+        (["simulate", "--sample-size", "1000000000000000", "--reps", "2"], "Unable to allocate"),
     ],
 )
 def test_bad_input_exits_one(capsys, uncensored_csv, argv, message):
@@ -288,16 +291,21 @@ class TestSimulate:
         assert (rc, err) == (0, "")
         assert out == serial
 
-    def test_unwritable_output_exits_one(self, capsys, tmp_path):
-        rc, _, err = run_cli(
+    def test_unwritable_output_exits_one(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study ran before the output was opened")
+
+        # the path is opened first, so the study never runs
+        monkeypatch.setattr(cli_mod, "run_study", refuse)
+        rc, out, err = run_cli(
             capsys,
             [
                 "simulate", "--profile", "desk", "--seed", "1", "--reps", "2",
                 "--sample-size", "60", "--output", str(tmp_path / "missing" / "r.csv"),
             ],
         )
-        assert rc == 1
-        assert "error:" in err
+        assert (rc, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_stdout_report(self, capsys):
         rc, out, _ = run_cli(

@@ -76,7 +76,7 @@ class TestSort:
         for y, delta in cases:
             ss = sort_sample(make_sample(y, delta))
             ys = ss.base.y
-            group, first, stop = ss.tie_groups()
+            group, first, stop = ss.group, ss.first, ss.stop
             assert np.array_equal(first[group], np.searchsorted(ys, ys, side="left"))
             assert np.array_equal(stop[group], np.searchsorted(ys, ys, side="right"))
             assert np.array_equal(ys[first], np.unique(ys))

@@ -80,7 +80,7 @@ class TestFitPenalized:
         rng = np.random.default_rng(23)
         sample = random_instance(rng, n=30, p=1, censored=False)
         ss, kw = prepare(sample)
-        fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=2000, tol=1e-13))
+        fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=2000))
         d = build_weighted_design(ss, kw)
         oracle = l1_shift_objective_min(d.xw, d.yw, fit.lam)
         assert fit.objective_trace[-1] == pytest.approx(oracle, rel=1e-6)
@@ -96,7 +96,7 @@ class TestFitPenalized:
         rng = np.random.default_rng(25)
         for _ in range(10):
             ss, kw = prepare(random_instance(rng))
-            fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=1000, tol=1e-13))
+            fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=1000))
             d = build_weighted_design(ss, kw)
             resid = d.yw - d.xw @ fit.beta - fit.alpha_w
             active = fit.alpha_w != 0.0
@@ -125,13 +125,6 @@ class TestFitPenalized:
             refit = wls_solve(d, d.yw - fit.alpha_w)
             assert np.max(np.abs(fit.beta - refit)) < 1e-10
 
-    def test_early_stop_with_tolerance(self):
-        rng = np.random.default_rng(28)
-        ss, kw = prepare(random_instance(rng, n=40, p=2))
-        fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=500, tol=1e-9))
-        assert fit.iterations < 500
-        assert fit.objective_trace.shape[0] == fit.iterations + 1
-
     def test_lambda_comes_from_rule_by_default(self):
         rng = np.random.default_rng(29)
         ss, kw = prepare(random_instance(rng, n=35, p=2))
@@ -140,14 +133,12 @@ class TestFitPenalized:
 
     def test_config_defaults_and_validation(self):
         cfg = PenalizedConfig()
-        assert cfg.lambda0 == 1e-4 and cfg.max_iter == 10 and cfg.tol == 0.0
+        assert cfg.lambda0 == 1e-4 and cfg.max_iter == 10
         assert cfg.lambda_override is None
         with pytest.raises(ValueError):
             PenalizedConfig(max_iter=0)
         with pytest.raises(ValueError):
             PenalizedConfig(lambda0=-1.0)
-        with pytest.raises(ValueError):
-            PenalizedConfig(tol=-0.5)
 
 
 def test_gross_outliers_are_flagged_with_high_probability():

@@ -56,13 +56,17 @@ class TestWeightedDesign:
     def test_built_once_per_sample_and_weights(self):
         x = np.column_stack([np.ones(4), np.arange(4.0)])
         ss, kw = sorted_with_weights([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], x)
-        d = build_weighted_design(ss, kw)
-        assert build_weighted_design(ss, kw) is d
-        # equal weights in another object get their own design with the same arrays
-        other = build_weighted_design(ss, km_weights(ss))
-        assert other is not d
-        for name in ("xw", "yw", "gram"):
-            assert np.array_equal(getattr(other, name), getattr(d, name))
+        # km_weights builds the design; the fits get that same object back
+        assert build_weighted_design(ss, kw) is kw
+        # weighting the sample again builds equal arrays
+        other = km_weights(ss)
+        assert other is not kw
+        for name in ("w", "sqrt_w", "xw", "yw", "gram"):
+            assert np.array_equal(getattr(other, name), getattr(kw, name))
+        # a design of another sample is refused
+        longer, _ = sorted_with_weights([1.0, 2.0, 3.0, 4.0, 5.0], [1] * 5, np.ones((5, 2)))
+        with pytest.raises(ValueError, match="does not match"):
+            build_weighted_design(longer, kw)
 
 
 class TestWlsSolve:
