@@ -7,14 +7,14 @@ so table, csv and json-lines carry identical values.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 from .data import load_csv, sort_sample
-from .inference import sandwich_ci
+from .inference import normal_quantile, sandwich_ci
 from .km import km_weights
 from .penalized import PenalizedConfig, fit_penalized
 from .simulation import DESK_PROFILE, ESTIMATORS, PAPER_PROFILE, DgpConfig, run_study
@@ -33,6 +33,7 @@ def _text(value) -> str:
 def cmd_fit(args) -> int:
     if not 0 <= args.tau0 < math.inf:
         raise ValueError("tau0 must be nonnegative and finite")
+    normal_quantile(args.ci_level)  # reject the level before reading the file
     cfg = PenalizedConfig(
         lambda0=args.lambda0,
         max_iter=args.max_iter,
@@ -124,14 +125,12 @@ def cmd_simulate(args) -> int:
     reps = profile.reps if args.reps is None else args.reps
     if args.threads < 1:
         raise ValueError("threads must be a positive integer")
-    # open the output first, so an unwritable path fails before the study runs
-    if args.output == "-":
-        out = contextlib.nullcontext(sys.stdout)
-    else:
-        out = open(args.output, "w", newline="")
-    with out as fh:
+    to_file = args.output != "-"
+    # "a" fails early on an unwritable path but empties nothing; held open, a pipe keeps its reader
+    with open(args.output, "a") if to_file else nullcontext():
         report = run_study(grid=profile.mu_grid, reps=reps, base_cfg=DgpConfig(n=n, seed=args.seed))
-        report.to_csv(fh)
+        with open(args.output, "w", newline="") if to_file else nullcontext(sys.stdout) as fh:
+            report.to_csv(fh)
     return 0
 
 

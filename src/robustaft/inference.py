@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import SortedSample, _frozen, _memo
 from .km import _product_limit
@@ -145,6 +145,13 @@ def compute_psi(
     return (c + (1 - delta) * np.take(gamma1, group, 1) - np.take(gamma2, group, 1)).T
 
 
+def normal_quantile(level: float) -> float:
+    """The z with P(|Z| <= z) = ``level``; rejects a level whose (1 + level) / 2 rounds to 1."""
+    if not 0.0 < level or (1.0 + level) / 2.0 >= 1.0:
+        raise ValueError("level must lie strictly between 0 and 1")
+    return NormalDist().inv_cdf((1.0 + level) / 2.0)
+
+
 def sandwich_ci(
     sorted_sample: SortedSample,
     kw: WeightedDesign,
@@ -161,8 +168,7 @@ def sandwich_ci(
     unclamped rows for the penalized fit (the Huber bread of the l1
     mean-shift problem) and the unflagged rows for the two-step refit.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    z = normal_quantile(level)
     alpha = np.divide(fit.alpha_w, kw.sqrt_w, out=np.zeros(kw.w.shape[0]), where=kw.w > 0)
     psi_t = compute_psi(sorted_sample, fit.beta, alpha).T  # contiguous (p, n)
     n = psi_t.shape[1]
@@ -181,7 +187,6 @@ def sandwich_ci(
     cov_beta = (cov_beta + cov_beta.T) / 2.0
 
     std_errors = np.sqrt(np.clip(np.diag(cov_beta), 0.0, None))
-    z = ndtri((1.0 + level) / 2.0)
     return InferenceResult(
         beta=np.array(fit.beta),
         sigma_x_hat=sigma_x,

@@ -4,8 +4,8 @@ The weighted design has rows sqrt(w_(i)) * X_(i); solving least squares on it
 is the Kaplan-Meier-weighted regression (the Stute estimator when the target
 is the weighted outcome itself).  ``km.km_weights`` builds one design per
 sorted sample, and every fit and sandwich of that sample solves on it.  The
-p x p Gram matrix is factorized directly since p is small and fixed while n
-dominates.
+p x p Gram matrix is inverted through its eigendecomposition, which also gives
+the singularity check, since p is small and fixed while n dominates.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .data import SortedSample, _frozen, _memo
 
@@ -51,21 +50,18 @@ class WeightedDesign:
         self, rhs: np.ndarray, keep: np.ndarray | None = None, context: str = ""
     ) -> tuple[np.ndarray, np.ndarray]:
         """The Gram matrix of the rows where ``keep`` is true (all rows if None) and
-        the solution of gram @ b = rhs by Cholesky.
+        the solution of gram @ b = rhs, through one eigendecomposition of the Gram.
 
         Raises SingularGramError, naming ``context``, when the Gram matrix has a
         relative eigenvalue below GRAM_RTOL.  The all-rows Gram is ``self.gram``
-        and its factor is kept on the design, unless singular.
+        and its inverse is kept on the design, unless singular.
         """
         full = keep is None or keep.all()
-        if full:
-            gram = self.gram
-        else:
-            xw = np.where(keep[:, None], self.xw, 0.0)
-            gram = xw.T @ xw
+        xw = self.xw if full else np.where(keep[:, None], self.xw, 0.0)
+        gram = self.gram if full else xw.T @ xw
 
-        def factor():
-            eigs = np.linalg.eigvalsh(gram)
+        def inverse():
+            eigs, vecs = np.linalg.eigh(gram)
             if eigs[0] <= GRAM_RTOL * max(eigs[-1], 0.0):
                 detail = f" ({context})" if context else ""
                 raise SingularGramError(
@@ -73,10 +69,10 @@ class WeightedDesign:
                     f"{eigs[0]:.3e} <= {GRAM_RTOL:g} * largest {eigs[-1]:.3e}; "
                     "covariates are collinear after weighting"
                 )
-            return scipy.linalg.cho_factor(gram)
+            return (vecs / eigs) @ vecs.T
 
-        cho = _memo(self, ("cholesky",), factor) if full else factor()
-        return gram, scipy.linalg.cho_solve(cho, rhs)
+        inv = _memo(self, ("inverse",), inverse) if full else inverse()
+        return gram, inv @ rhs
 
 
 @dataclass(frozen=True)

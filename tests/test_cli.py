@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -174,10 +176,10 @@ SMALL_CSV = """y,delta,x1,x2
 """
 
 # estimate, std_error, ci_lower, ci_upper
-COEF_X1 = ("1.1993980169971674", "0.10369977367670422", "0.9961501953858725",
+COEF_X1 = ("1.1993980169971676", "0.10369977367670408", "0.9961501953858729",
            "1.4026458386084624")
-COEF_X2 = ("1.1260623229461757", "0.13682003497857773", "0.8578999820246529",
-           "1.3942246638676985")
+COEF_X2 = ("1.1260623229461786", "0.13682003497857803", "0.8578999820246553",
+           "1.3942246638677018")
 LAMBDA = "0.39819884867155864"
 ALPHA_W = "-2.300681654703104"
 
@@ -192,10 +194,10 @@ GOLDEN = {
         "tau0        0.3",
         "coef  estimate                  std_error                 ci_lower                  "
         "ci_upper                  ",
-        "x1    1.1993980169971674        0.10369977367670422       0.9961501953858725        "
+        "x1    1.1993980169971676        0.10369977367670408       0.9961501953858729        "
         "1.4026458386084624        ",
-        "x2    1.1260623229461757        0.13682003497857773       0.8578999820246529        "
-        "1.3942246638676985        ",
+        "x2    1.1260623229461786        0.13682003497857803       0.8578999820246553        "
+        "1.3942246638677018        ",
         "outliers (original row, alpha_w):",
         f"  7  {ALPHA_W}",
     ],
@@ -253,6 +255,9 @@ def test_fit_output_is_pinned_to_the_byte(capsys, tmp_path, fmt):
         (["fit", "{csv}", "--method", "stute", "--max-iter", "0"], "max_iter must be a positive"),
         # 7.1 PiB: more than any address space, so the allocation fails before a page is touched
         (["simulate", "--sample-size", "1000000000000000", "--reps", "2"], "Unable to allocate"),
+        (["fit", "{csv}", "--ci-level", "2"], "level must lie strictly between 0 and 1"),
+        # (1 + level) / 2 rounds to 1.0, where the normal quantile is infinite
+        (["fit", "{csv}", "--ci-level", "0.9999999999999999"], "level must lie strictly"),
     ],
 )
 def test_bad_input_exits_one(capsys, uncensored_csv, argv, message):
@@ -261,6 +266,34 @@ def test_bad_input_exits_one(capsys, uncensored_csv, argv, message):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+def test_bad_ci_level_fails_before_the_file_is_read(capsys, monkeypatch, uncensored_csv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the file was read before --ci-level was checked")
+
+    monkeypatch.setattr(cli_mod, "load_csv", refuse)
+    rc, out, err = run_cli(capsys, ["fit", uncensored_csv[0], "--ci-level", "2"])
+    assert (rc, out) == (1, "")
+    assert err == "error: level must lie strictly between 0 and 1\n"
+
+
+def test_the_command_line_imports_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that imports
+    the command line has no scipy module loaded."""
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    code = (
+        "import sys, robustaft.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 class TestSimulate:
@@ -306,6 +339,15 @@ class TestSimulate:
         )
         assert (rc, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_rejected_study_leaves_the_output_untouched(self, capsys, tmp_path):
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"keep\n")
+        for flags in (["--reps", "0"], ["--sample-size", "1"]):
+            rc, out, err = run_cli(capsys, ["simulate", "--output", str(keep), *flags])
+            assert (rc, out) == (1, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert keep.read_bytes() == b"keep\n"
 
     def test_stdout_report(self, capsys):
         rc, out, _ = run_cli(

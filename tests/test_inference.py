@@ -232,10 +232,10 @@ class TestSandwichCi:
         assert got == {
             "sigma_hat": ["0x1.89f29551b41f2p+2", "0x1.40ee21be471b6p+2",
                           "0x1.40ee21be471b6p+2", "0x1.1f8c13a2d907fp+2"],
-            "cov_beta": ["0x1.65f72df2bf4d3p-7", "-0x1.b04660fc6b5c9p-6",
-                         "-0x1.b04660fc6b5c9p-6", "0x1.291b266a5357dp-4"],
-            "ci_lower": ["0x1.d1755ae3d800cp-1", "0x1.8335f8a8a0108p-4"],
-            "ci_upper": ["0x1.519d41cba2844p+0", "0x1.2677da9f8d7e2p+0"],
+            "cov_beta": ["0x1.65f72df2bf4c6p-7", "-0x1.b04660fc6b5bcp-6",
+                         "-0x1.b04660fc6b5bcp-6", "0x1.291b266a53576p-4"],
+            "ci_lower": ["0x1.d1755ae3d8008p-1", "0x1.8335f8a8a0180p-4"],
+            "ci_upper": ["0x1.519d41cba2840p+0", "0x1.2677da9f8d7e6p+0"],
         }
 
     def test_level_validation_and_fit_type(self):
