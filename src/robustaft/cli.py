@@ -17,7 +17,7 @@ from .data import load_csv, sort_sample
 from .inference import normal_quantile, sandwich_ci
 from .km import km_weights
 from .penalized import PenalizedConfig, fit_penalized
-from .simulation import DESK_PROFILE, ESTIMATORS, PAPER_PROFILE, DgpConfig, run_study
+from .simulation import DESK_PROFILE, ESTIMATORS, PAPER_PROFILE, DgpConfig, _check_study, run_study
 from .two_step import DEFAULT_TAU0, detect_outliers, fit_two_step
 from .wls import SingularGramError, stute_fit
 
@@ -125,10 +125,12 @@ def cmd_simulate(args) -> int:
     reps = profile.reps if args.reps is None else args.reps
     if args.threads < 1:
         raise ValueError("threads must be a positive integer")
+    cfg = DgpConfig(n=n, seed=args.seed)
+    _check_study(reps, cfg)  # rejected arguments leave no file behind
     to_file = args.output != "-"
     # "a" fails early on an unwritable path but empties nothing; held open, a pipe keeps its reader
     with open(args.output, "a") if to_file else nullcontext():
-        report = run_study(grid=profile.mu_grid, reps=reps, base_cfg=DgpConfig(n=n, seed=args.seed))
+        report = run_study(grid=profile.mu_grid, reps=reps, base_cfg=cfg)
         with open(args.output, "w", newline="") if to_file else nullcontext(sys.stdout) as fh:
             report.to_csv(fh)
     return 0

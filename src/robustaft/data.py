@@ -4,6 +4,11 @@ A sample is a triple (y, delta, x): observed outcomes Y_i = min(T_i, C_i) on
 the log-duration scale, censoring indicators delta_i = 1{T_i <= C_i}, and an
 n x p covariate matrix.  No intercept column is added implicitly; supply an
 all-ones column if you want one.
+
+A block of R samples of equal size holds the same fields with a leading
+replication axis (y and delta (R, n), x (R, n, p)).  The study engine builds
+blocks; every formula below is written over that axis, so one sample and a
+block run the same code.
 """
 
 from __future__ import annotations
@@ -20,6 +25,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _per_sample(a):
+    """A sample's value as a Python float; a block's values, one per replication, as the array."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def _memo(obj, key: tuple, make):
@@ -58,26 +68,33 @@ class SurvivalSample:
         n = y.shape[0]
         if delta.shape != (n,) or x.shape[0] != n:
             raise ValueError("y, delta and x must have matching lengths")
-        p = x.shape[1]
-        if p < 1:
-            raise ValueError("at least one covariate column is required")
-        if n <= p:
-            raise ValueError(f"n must exceed p (got n={n}, p={p})")
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
-            raise ValueError("y and x entries must be finite")
-        if not ((delta == 0) | (delta == 1)).all():
-            raise ValueError("delta entries must be 0 or 1")
+        _check_size(n, x.shape[1])
+        _check_entries(y, delta, x)
         object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "delta", _frozen(delta.astype(np.int64)))
         object.__setattr__(self, "x", _frozen(x))
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def p(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
+
+
+def _check_size(n: int, p: int) -> None:
+    if p < 1:
+        raise ValueError("at least one covariate column is required")
+    if n <= p:
+        raise ValueError(f"n must exceed p (got n={n}, p={p})")
+
+
+def _check_entries(y: np.ndarray, delta: np.ndarray, x: np.ndarray) -> None:
+    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
+        raise ValueError("y and x entries must be finite")
+    if not ((delta == 0) | (delta == 1)).all():
+        raise ValueError("delta entries must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -89,7 +106,10 @@ class SortedSample:
     ``base.y[i] == original.y[perm[i]]``.  Within a tie group of equal y,
     uncensored observations come first (deaths before censorings, the
     standard Kaplan-Meier convention).  Sorted row i lies in tie group
-    ``group[i]``, which spans rows ``first[g]:stop[g]``.
+    ``group[i]``, which spans rows ``first[g]:stop[g]``.  In a block the tie
+    groups of all replications are numbered in one sequence, and ``first``
+    and ``stop`` are offsets into the flattened (R * n) rows, so a group
+    never spans two replications.
     """
 
     base: SurvivalSample
@@ -101,21 +121,31 @@ class SortedSample:
 
 def sort_sample(sample: SurvivalSample) -> SortedSample:
     """Stable sort by (y ascending, delta descending), recording the permutation
-    and the tie groups (the runs of equal y)."""
-    order = np.lexsort((-sample.delta, sample.y))
-    y = sample.y[order]
-    first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
-    stop = np.append(first[1:], y.shape[0])
-    group = np.repeat(np.arange(first.shape[0]), stop - first)
+    and the tie groups (the runs of equal y); a block sorts each replication."""
+    shape, n = sample.y.shape, sample.n
+    order = np.lexsort((-sample.delta, sample.y), axis=-1)
+    # each sorted row's offset into the flattened (R * n) rows
+    rows = order + np.arange(0, sample.y.size, n).reshape(shape[:-1] + (1,))
+    y = sample.y.ravel()[rows]
+    starts = np.ones(shape, dtype=bool)
+    starts[..., 1:] = y[..., 1:] != y[..., :-1]
+    first = np.flatnonzero(starts)
+    stop = np.append(first[1:], y.size)
+    group = np.repeat(np.arange(first.shape[0]), stop - first).reshape(shape)
     for a in (order, group, first, stop):
         a.flags.writeable = False
-    base = _adopt(y=y, delta=sample.delta[order], x=sample.x[order])
+    base = _adopt(
+        y=y,
+        delta=sample.delta.ravel()[rows],
+        x=sample.x.reshape(-1, sample.p)[rows],
+    )
     return SortedSample(base=base, perm=order, group=group, first=first, stop=stop)
 
 
 def _adopt(y: np.ndarray, delta: np.ndarray, x: np.ndarray) -> SurvivalSample:
-    """A sample over fresh arrays that already pass ``SurvivalSample``'s checks
-    (here, rows gathered from a valid sample): frozen in place, not checked or copied."""
+    """A sample or block over fresh arrays that already pass ``SurvivalSample``'s
+    checks (rows gathered from a valid sample, or a drawn block that passed
+    ``_check_entries``): frozen in place, not checked or copied."""
     sample = object.__new__(SurvivalSample)
     for name, a in (("y", y), ("delta", delta), ("x", x)):
         a.flags.writeable = False

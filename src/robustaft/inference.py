@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import SortedSample, _frozen, _memo
 from .km import _product_limit
-from .wls import Fit, WeightedDesign, build_weighted_design
+from .wls import Fit, WeightedDesign, _matvec, _require_regular, build_weighted_design
 
 # Tail denominators 1 - G(t-) and 1 - H(t) are floored here; sufficient
 # follow-up keeps them away from zero asymptotically but finite samples may
@@ -62,26 +62,36 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
     """Kaplan-Meier fit of the censoring distribution on the observed sample.
 
     Returns the right-continuous G(t) at each tie group's outcome t, as a
-    read-only array indexed like ``sorted_sample.first``.  Ties follow
-    the sorted sample's convention: failures precede censorings at equal
-    times, so censoring events see the risk set already reduced by the
-    failures at that time.
+    read-only array indexed like ``sorted_sample.first`` (for a block, every
+    replication's groups in one sequence).  Ties follow the sorted sample's
+    convention: failures precede censorings at equal times, so censoring
+    events see the risk set already reduced by the failures at that time.
     """
-    return _frozen(1.0 - _product_limit(sorted_sample.base.delta == 0)[sorted_sample.stop - 1])
+    survival = _product_limit(sorted_sample.base.delta == 0).ravel()
+    return _frozen(1.0 - survival[sorted_sample.stop - 1])
 
 
 def _tail_terms(sorted_sample: SortedSample, floor: float) -> tuple:
-    """Sample-only part of psi: each row's floored 1 - G(Y-), each group's floored
-    1 - H and the floored count."""
+    """Sample-only part of psi: each group's first and stop offsets into running sums
+    that hold n + 1 entries per replication, each row's floored 1 - G(Y-), each
+    group's floored 1 - H, the floored count (per replication of a block), and per
+    row 1 - delta and the group whose gamma2 term the row adds."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
-    group, stop = sorted_sample.group, sorted_sample.stop
-    # G(Y-) of a row is G at the tie group below its own, and 0 in the lowest group
-    denom_g = 1.0 - np.concatenate(([0.0], censoring_km(sorted_sample)))[group]
-    surv_h = (n - stop) / n  # 1 - H(Y) on each group
+    group, first, stop = sorted_sample.group, sorted_sample.first, sorted_sample.stop
+    rep = first // n  # each group's replication
+    # G(Y-) of a row is G at the tie group below its own, and 0 in its replication's lowest group
+    below = np.concatenate(([0.0], censoring_km(sorted_sample)[:-1]))
+    denom_g = 1.0 - np.where(first == rep * n, 0.0, below)[group]
+    stop_in = stop - rep * n
+    surv_h = (n - stop_in) / n  # 1 - H(Y) on each group
     # gamma2 uses the censored rows below the top group
-    floored_h = (delta == 0) & (stop[group] < n) & (surv_h[group] < floor)
-    n_floored = int(((denom_g < floor) & (delta == 1)).sum() + floored_h.sum())
-    return np.maximum(denom_g, floor), np.maximum(surv_h, floor), n_floored
+    floored_h = (delta == 0) & (stop_in[group] < n) & (surv_h[group] < floor)
+    n_floored = ((denom_g < floor) & (delta == 1)).sum(axis=-1) + floored_h.sum(axis=-1)
+    # gamma2 sums censored rows strictly below the evaluation point: a censored row
+    # adds its group's term, any other row the top group's, which is zero
+    adds = np.where(delta == 0, group, stop.shape[0] - 1)
+    return (first + rep, stop + rep, np.maximum(denom_g, floor), np.maximum(surv_h, floor),
+            n_floored, 1.0 - delta, adds)
 
 
 def compute_psi(
@@ -89,14 +99,15 @@ def compute_psi(
     beta: np.ndarray,
     alpha: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Influence vectors psi as an (n, p) matrix in sorted order.
+    """Influence vectors psi as an (n, p) matrix in sorted order; (R, n, p) for a block.
 
     ``alpha`` holds the per-observation shifts entering the residuals
     xi_(i) = Y_(i) - X_(i)' beta - alpha_(i); pass None for a fit without
     shift parameters.  Emits DegenerateTailWarning when any used tail
-    denominator falls below DENOM_FLOOR (it is floored, not propagated).
+    denominator falls below DENOM_FLOOR (it is floored, not propagated); a
+    block warns once for each replication that floors one.
 
-    The result is the transpose of a contiguous (p, n) array.
+    The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
 
     Per sample, computed by the first call and kept on the sorted sample: the
     censoring KM fit and G(Y_(i)-), the floored 1 - G and 1 - H denominators
@@ -108,41 +119,48 @@ def compute_psi(
     y, delta, x = base.y, base.delta, base.x
     n, p = base.n, base.p
     if alpha is None:
-        alpha = np.zeros(n)
-    xi = y - x @ beta - np.asarray(alpha, dtype=float)
+        alpha = np.zeros(y.shape)
+    xi = y - _matvec(x, beta) - np.asarray(alpha, dtype=float)
     floor = DENOM_FLOOR  # part of the key, so a changed floor builds its own terms
-    group, first, stop = sorted_sample.group, sorted_sample.first, sorted_sample.stop
+    group = sorted_sample.group
     tails = _memo(sorted_sample, ("psi", floor), lambda: _tail_terms(sorted_sample, floor))
-    denom_g, denom_h, n_floored = tails
+    at_first, at_stop, denom_g, denom_h, n_floored, censored, adds = tails
 
-    # everything below is (p, rows) or (p, groups), so each pass runs along the long axis
+    # everything below is (p, rows) or (p, groups), with a block's replication axis
+    # after p, so each pass runs along the long axis
     # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-))
-    c = x.T * (delta * xi / denom_g)
+    c = np.moveaxis(x, -1, 0) * (delta * xi / denom_g)
 
     # y is sorted, so strict comparisons reduce to tie-group slices
-    csuf = np.zeros((p, n + 1))
-    np.cumsum(c[:, ::-1], axis=1, out=csuf[:, n - 1 :: -1])  # csuf[:, i] = sum of c[:, i:]
-    s_strict = csuf[:, stop]  # per group: sum of c over {m : Y_(m) > Y}
+    csuf = np.zeros(c.shape[:-1] + (n + 1,))
+    np.cumsum(c[..., ::-1], axis=-1, out=csuf[..., n - 1 :: -1])  # csuf[..., i] = sum of c[..., i:]
+    s_strict = np.take(csuf.reshape(p, -1), at_stop, 1)  # per group: sum of c over {m : Y_(m) > Y}
 
-    gamma1 = s_strict / (n * denom_h)
-    # gamma2 sums censored rows strictly below the evaluation point: a censored row
-    # adds its group's term, any other row the top group's, which is zero
-    terms = np.take(s_strict / denom_h**2, np.where(delta == 0, group, len(stop) - 1), 1)
+    terms = np.take(s_strict / denom_h**2, adds, 1)
     dpre = csuf  # the suffix sums are spent: reuse their buffer for the prefix sums
-    dpre[:, 0] = 0.0
-    np.cumsum(terms, axis=1, out=dpre[:, 1:])
-    gamma2 = dpre[:, first] / n**2
-    del csuf, s_strict, terms, dpre  # free them before the output's temporaries
+    dpre[..., 0] = 0.0
+    np.cumsum(terms, axis=-1, out=dpre[..., 1:])
+    del terms
+    gamma2 = np.take(dpre.reshape(p, -1), at_first, 1)
+    gamma2 /= n**2
+    del csuf, dpre  # free them before the output's temporaries
+    gamma1 = s_strict  # s_strict is spent too: divide it in place
+    gamma1 /= n * denom_h
 
-    if n_floored:
+    for count in np.ravel(n_floored)[np.ravel(n_floored) > 0]:
         warnings.warn(
-            f"{n_floored} tail denominator(s) below {floor:g} floored; "
+            f"{count} tail denominator(s) below {floor:g} floored; "
             "variance estimates near the censoring tail are unreliable",
             DegenerateTailWarning,
             stacklevel=2,
         )
 
-    return (c + (1 - delta) * np.take(gamma1, group, 1) - np.take(gamma2, group, 1)).T
+    # c + (1 - delta) gamma1 - gamma2, built in place
+    psi = np.take(gamma1, group, 1)
+    psi *= censored
+    psi += c
+    psi -= np.take(gamma2, group, 1)
+    return np.moveaxis(psi, 0, -1)
 
 
 def normal_quantile(level: float) -> float:
@@ -167,26 +185,53 @@ def sandwich_ci(
     gives each fit its own normal equations: all rows for the Stute fit, the
     unclamped rows for the penalized fit (the Huber bread of the l1
     mean-shift problem) and the unflagged rows for the two-step refit.
+
+    Raises SingularGramError when that Gram matrix is singular, and
+    ValueError when the covariance is not finite (the influence vectors
+    overflow, as with outcomes near 1e200), rather than print NaN intervals.
     """
+    inf, eigs = _sandwich(sorted_sample, build_weighted_design(sorted_sample, kw), fit, level)
+    n = kw.w.shape[-1]
+    kept = int(np.count_nonzero(fit.alpha_w == 0.0))
+    _require_regular(eigs, f"sandwich bread over the {kept} of {n} rows with zero shift")
+    if not _finite(inf):
+        raise ValueError(
+            "the sandwich covariance is not finite: the influence vectors overflow "
+            "(rescale y and x)"
+        )
+    return inf
+
+
+def _finite(inf: InferenceResult) -> np.ndarray:
+    """Per replication: is the coefficient covariance finite?"""
+    return np.isfinite(inf.cov_beta).all(axis=(-2, -1))
+
+
+def _sandwich(
+    sorted_sample: SortedSample, design: WeightedDesign, fit: Fit, level: float = 0.95
+) -> tuple[InferenceResult, np.ndarray]:
+    """``sandwich_ci`` on a sample or a block, without raising on a singular bread
+    or an infinite covariance: the result and the bread's eigenvalues, for
+    ``_singular`` and ``_finite`` to judge each replication."""
     z = normal_quantile(level)
-    alpha = np.divide(fit.alpha_w, kw.sqrt_w, out=np.zeros(kw.w.shape[0]), where=kw.w > 0)
-    psi_t = compute_psi(sorted_sample, fit.beta, alpha).T  # contiguous (p, n)
-    n = psi_t.shape[1]
+    alpha = np.divide(fit.alpha_w, design.sqrt_w, out=np.zeros(design.w.shape), where=design.w > 0)
+    # one contiguous (p, n) array per replication, so a replication's products
+    # are the same whether or not it shares a block
+    psi_t = np.ascontiguousarray(np.swapaxes(compute_psi(sorted_sample, fit.beta, alpha), -1, -2))
+    n = psi_t.shape[-1]
 
-    # the mean is a running sum, which adds in the same order as a column mean
-    # over (n, p) rows; mean(axis=1) sums pairwise and would move the last bits
-    # of every interval
-    centered = psi_t - np.cumsum(psi_t, axis=1)[:, -1:] / n
-    sigma_hat = centered @ centered.T / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the mean is a running sum, which adds in the same order as a column mean
+        # over (n, p) rows; mean(axis=-1) sums pairwise and would move the last bits
+        # of every interval
+        centered = psi_t  # psi_t is this call's own array: center it in place
+        centered -= np.cumsum(psi_t, axis=-1)[..., -1:] / n
+        sigma_hat = centered @ np.swapaxes(centered, -1, -2) / n
 
-    unshifted = fit.alpha_w == 0.0
-    context = f"sandwich bread over the {int(unshifted.sum())} of {n} rows with zero shift"
-    design = build_weighted_design(sorted_sample, kw)
-    sigma_x, sigma_x_inv = design.solve(np.eye(psi_t.shape[0]), unshifted, context)
-    cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
-    cov_beta = (cov_beta + cov_beta.T) / 2.0
-
-    std_errors = np.sqrt(np.clip(np.diag(cov_beta), 0.0, None))
+        sigma_x, sigma_x_inv, eigs = design.inverse(fit.alpha_w == 0.0)
+        cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
+        cov_beta = (cov_beta + np.swapaxes(cov_beta, -1, -2)) / 2.0
+        std_errors = np.sqrt(np.clip(np.diagonal(cov_beta, axis1=-2, axis2=-1), 0.0, None))
     return InferenceResult(
         beta=np.array(fit.beta),
         sigma_x_hat=sigma_x,
@@ -196,4 +241,4 @@ def sandwich_ci(
         ci_lower=fit.beta - z * std_errors,
         ci_upper=fit.beta + z * std_errors,
         level=float(level),
-    )
+    ), eigs

@@ -14,12 +14,13 @@ import math
 
 import numpy as np
 
-from .data import SortedSample
+from .data import SortedSample, _per_sample
 from .wls import WeightedDesign
 
 
 def km_weights(sorted_sample: SortedSample) -> WeightedDesign:
-    """Kaplan-Meier weights of a sorted sample and its weighted design.
+    """Kaplan-Meier weights of a sorted sample (or of each replication of a block)
+    and its weighted design.
 
     In 1-based sorted order,
 
@@ -32,26 +33,27 @@ def km_weights(sorted_sample: SortedSample) -> WeightedDesign:
     """
     base = sorted_sample.base
     delta = base.delta
-    n = delta.shape[0]
-    running = np.concatenate(([1.0], _product_limit(delta == 1)[:-1]))
+    n = delta.shape[-1]
+    running = np.ones(delta.shape)
+    running[..., 1:] = _product_limit(delta == 1)[..., :-1]
     w = delta / (n - np.arange(n, dtype=float)) * running
     sqrt_w = np.sqrt(w)
-    xw = base.x * sqrt_w[:, None]
+    xw = base.x * sqrt_w[..., None]
     yw = base.y * sqrt_w
-    gram = xw.T @ xw
+    gram = np.swapaxes(xw, -1, -2) @ xw
     for a in (w, sqrt_w, xw, yw, gram):
         a.flags.writeable = False
     return WeightedDesign(
-        w=w, sqrt_w=sqrt_w, pi_uc_hat=float(delta.mean()), xw=xw, yw=yw, gram=gram
+        w=w, sqrt_w=sqrt_w, pi_uc_hat=_per_sample(delta.mean(axis=-1)), xw=xw, yw=yw, gram=gram
     )
 
 
 def _product_limit(event: np.ndarray) -> np.ndarray:
     """Kaplan-Meier survival just after each sorted row, treating ``event`` as the event:
-    prod_{j<=i} ((n - 1 - j) / (n - j)) ** event_(j) in 0-based order."""
-    n = event.shape[0]
+    prod_{j<=i} ((n - 1 - j) / (n - j)) ** event_(j) in 0-based order, along the last axis."""
+    n = event.shape[-1]
     idx = np.arange(n, dtype=float)
-    return np.cumprod(np.where(event, (n - 1 - idx) / (n - idx), 1.0))
+    return np.cumprod(np.where(event, (n - 1 - idx) / (n - idx), 1.0), axis=-1)
 
 
 def lambda_rule(n: int, pi_uc_hat: float, lambda0: float) -> float:

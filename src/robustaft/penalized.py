@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SortedSample
+from .data import SortedSample, _per_sample
 from .km import lambda_rule
-from .wls import Fit, WeightedDesign, build_weighted_design, wls_solve
+from .wls import Fit, WeightedDesign, _matvec, build_weighted_design, wls_solve
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,24 @@ class PenalizedConfig:
             raise ValueError("lambda_override must be positive and finite")
 
 
-def soft_threshold_step(residual_w: np.ndarray, lam: float) -> np.ndarray:
+def soft_threshold_step(residual_w: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Exact minimizer of ||r - v||_2^2 + lam * ||v||_1, coordinatewise.
 
     Entries with |r| <= lam / 2 map to 0 (boundary inclusive); the rest
-    shrink toward zero by lam / 2.
+    shrink toward zero by lam / 2.  For a block, ``lam`` may hold one level
+    per replication (the leading axes of ``residual_w``).
     """
-    if lam <= 0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
         raise ValueError("lam must be positive")
-    half = lam / 2.0
+    half = lam[..., None] / 2.0
     r = np.asarray(residual_w, dtype=float)
-    return np.where(np.abs(r) <= half, 0.0, r - np.sign(r) * half)
+    return r - np.clip(r, -half, half)
 
 
-def _objective(design_resid: np.ndarray, aw: np.ndarray, lam: float) -> float:
-    return float(design_resid @ design_resid + lam * np.abs(aw).sum())
+def _objective(design_resid: np.ndarray, aw: np.ndarray, lam) -> np.ndarray:
+    squares = (design_resid[..., None, :] @ design_resid[..., None])[..., 0, 0]
+    return squares + lam * np.abs(aw).sum(axis=-1)
 
 
 def fit_penalized(
@@ -73,29 +76,33 @@ def fit_penalized(
     cycle the coefficient vector is refreshed once against the final aw, so
     the reported pair satisfies the weighted normal equations exactly.
     """
-    design = build_weighted_design(sorted_sample, kw)
-    n = design.yw.shape[0]
-    lam = (
-        cfg.lambda_override
-        if cfg.lambda_override is not None
-        else lambda_rule(n, kw.pi_uc_hat, cfg.lambda0)
-    )
+    return _alternate(build_weighted_design(sorted_sample, kw), cfg)
 
-    aw = np.zeros(n)
-    trace: list[float] = []
+
+def _alternate(design: WeightedDesign, cfg: PenalizedConfig) -> Fit:
+    """``fit_penalized`` on a design, or on every replication of a block's design at once."""
+    n = design.yw.shape[-1]
+    if cfg.lambda_override is not None:
+        lam = cfg.lambda_override
+    else:
+        levels = [lambda_rule(n, float(pi), cfg.lambda0) for pi in np.ravel(design.pi_uc_hat)]
+        lam = _per_sample(np.reshape(levels, np.shape(design.pi_uc_hat)))
+
+    aw = np.zeros(design.yw.shape)
+    trace = []
     for _ in range(cfg.max_iter):
         beta = wls_solve(design, design.yw - aw)
-        resid = design.yw - design.xw @ beta
+        resid = design.yw - _matvec(design.xw, beta)
         aw = soft_threshold_step(resid, lam)
         trace.append(_objective(resid - aw, aw, lam))
 
     beta = wls_solve(design, design.yw - aw)
-    trace.append(_objective(design.yw - design.xw @ beta - aw, aw, lam))
+    trace.append(_objective(design.yw - _matvec(design.xw, beta) - aw, aw, lam))
 
     return Fit(
         beta=beta,
         alpha_w=aw,
-        lam=float(lam),
+        lam=lam,
         iterations=cfg.max_iter,
-        objective_trace=np.array(trace),
+        objective_trace=np.stack(trace, axis=-1),
     )

@@ -10,6 +10,10 @@ Randomness comes from numpy's PCG64 generator.  Each (mu, replication) cell
 derives its own 64-bit seed by XOR-ing the study seed with a BLAKE2b hash of
 the cell coordinates, so each cell's sample depends only on the study seed and
 the cell's place in the grid.
+
+The study evaluates each mu's replications in blocks of R samples held as
+(R, n) arrays, which every estimator and sandwich processes at once; a
+replication's numbers do not depend on the block it shares.
 """
 
 from __future__ import annotations
@@ -22,15 +26,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SurvivalSample, sort_sample
-from .inference import sandwich_ci
+from .data import SurvivalSample, _adopt, _check_entries, _check_size, sort_sample
+from .inference import _finite, _sandwich
 from .km import km_weights
-from .penalized import fit_penalized
-from .two_step import fit_two_step
-from .wls import SingularGramError, stute_fit
+from .penalized import PenalizedConfig, _alternate
+from .two_step import _refit
+from .wls import Fit, _singular, stute_fit
 
 ESTIMATORS = ("stute", "penalized", "two-step")
 SLOPE = 1  # index of the coefficient the study reports on
+# Rows per block: R = max(1, BLOCK_ELEMS // n) replications.  Sized for memory:
+# at n = 500 larger blocks raise the desk study's peak memory more than they
+# save time.
+BLOCK_ELEMS = 4096
 
 
 @dataclass(frozen=True)
@@ -117,19 +125,33 @@ def generate_sample(cfg: DgpConfig) -> SurvivalSample:
     generator is PCG64 seeded with ``cfg.seed``, so equal configs give
     bit-identical samples.
     """
+    block = _draw(cfg, [cfg.seed])
+    return _adopt(y=block.y[0], delta=block.delta[0], x=block.x[0])
+
+
+def _check_design(cfg: DgpConfig) -> None:
     if len(cfg.beta) != 2:
         raise ValueError("the design uses exactly two covariates")
-    rng = np.random.default_rng(cfg.seed)
+    _check_size(cfg.n, len(cfg.beta))
+
+
+def _draw(cfg: DgpConfig, seeds) -> SurvivalSample:
+    """A block with one sample per seed, each drawn as ``generate_sample`` draws it."""
+    _check_design(cfg)
     n = cfg.n
-    x2 = rng.uniform(0.0, 1.0, n)
-    noise = rng.standard_normal(n)
-    censor = rng.normal(cfg.mu, 1.0, n)
+    x2, noise, censor = (np.empty((len(seeds), n)) for _ in range(3))
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        x2[r] = rng.uniform(0.0, 1.0, n)
+        noise[r] = rng.standard_normal(n)
+        censor[r] = rng.normal(cfg.mu, 1.0, n)
     shift = np.where(x2 >= cfg.outlier_cutoff, cfg.outlier_shift, 0.0)
-    x = np.column_stack([np.ones(n), x2])
+    x = np.stack([np.ones_like(x2), x2], axis=-1)
     t = x @ np.asarray(cfg.beta) + shift + noise
     y = np.minimum(t, censor)
     delta = (t <= censor).astype(np.int64)
-    return SurvivalSample(y=y, delta=delta, x=x)
+    _check_entries(y, delta, x)
+    return _adopt(y=y, delta=delta, x=x)
 
 
 def _cell_seed(base_seed: int, mu_index: int, rep_index: int) -> int:
@@ -138,29 +160,62 @@ def _cell_seed(base_seed: int, mu_index: int, rep_index: int) -> int:
     return (base_seed ^ int.from_bytes(digest, "little")) & 0xFFFFFFFFFFFFFFFF
 
 
-def _run_cell(cfg: DgpConfig) -> dict:
-    """One replication: pi_uc_hat, then (slope estimate, 95% CI covers it) per
-    estimator, or None where a singular Gram matrix stopped that estimator."""
-    sample = generate_sample(cfg)
+def _run_block(sample: SurvivalSample, true_slope: float) -> dict:
+    """One block of replications.
+
+    Returns the per-replication ``pi_uc`` and, per estimator, a triple of
+    (R,) arrays: the slope estimates, whether the 95% sandwich CI covers
+    ``true_slope``, and whether the replication counts.  It does not count
+    where a singular Gram matrix or a non-finite covariance stopped that
+    estimator, as fitting each sample alone would raise: a singular full Gram
+    stops all three fits, a singular refit Gram only the two-step fit, and a
+    singular bread or covariance only its own estimator.
+    """
     ss = sort_sample(sample)
     kw = km_weights(ss)
-    results = {"pi_uc": kw.pi_uc_hat, **dict.fromkeys(ESTIMATORS)}
+    reps = sample.y.shape[0]
+    results = {"pi_uc": kw.pi_uc_hat}
+    for name in ESTIMATORS:
+        results[name] = (np.full(reps, np.nan), np.zeros(reps, dtype=bool), np.zeros(reps, dtype=bool))
 
-    fits = {}
-    try:
-        fits["stute"] = stute_fit(ss, kw)
-        fits["penalized"] = fit_penalized(ss, kw)
-        fits["two-step"] = fit_two_step(ss, kw, fits["penalized"])
-    except SingularGramError:
-        pass
-    for name, fit in fits.items():
-        try:
-            inf = sandwich_ci(ss, kw, fit)
-        except SingularGramError:
+    # the replications whose full Gram is regular, as positions in the block
+    rows = np.flatnonzero(~_singular(kw.inverse()[2]))
+    if rows.size < reps:
+        if not rows.size:
+            return results
+        ss, kw = _subblock(ss, rows)
+    stute = stute_fit(ss, kw)
+    pen = _alternate(kw, PenalizedConfig())
+    two, refit_eigs = _refit(kw, pen)
+    every, refitted = np.arange(rows.size), np.flatnonzero(~_singular(refit_eigs))
+    for name, fit, kept in (("stute", stute, every), ("penalized", pen, every), ("two-step", two, refitted)):
+        if not kept.size:
             continue
-        covered = bool(inf.ci_lower[SLOPE] <= cfg.beta[SLOPE] <= inf.ci_upper[SLOPE])
-        results[name] = (float(fit.beta[SLOPE]), covered)
+        s, k = ss, kw
+        if kept.size < rows.size:
+            s, k = _subblock(ss, kept)
+            fit = Fit(beta=fit.beta[kept], alpha_w=fit.alpha_w[kept])
+        inf, eigs = _sandwich(s, k, fit)
+        slope, covered, ok = results[name]
+        at = rows[kept]
+        slope[at] = fit.beta[:, SLOPE]
+        covered[at] = (inf.ci_lower[:, SLOPE] <= true_slope) & (true_slope <= inf.ci_upper[:, SLOPE])
+        ok[at] = ~_singular(eigs) & _finite(inf)
     return results
+
+
+def _subblock(ss, rows: np.ndarray):
+    """The sorted sample and weighted design of the block's replications ``rows``."""
+    base = ss.base
+    sub = sort_sample(_adopt(y=base.y[rows], delta=base.delta[rows], x=base.x[rows]))
+    return sub, km_weights(sub)
+
+
+def _check_study(reps: int, base_cfg: DgpConfig) -> None:
+    """Reject a study that cannot run, before any work: ``run_study``'s argument checks."""
+    if reps < 2:
+        raise ValueError("reps must be at least 2")
+    _check_design(base_cfg)
 
 
 def run_study(
@@ -170,36 +225,39 @@ def run_study(
 ) -> MonteCarloReport:
     """Run the replication study over a censoring-intensity grid.
 
-    Cells run one after another in (mu, replication) order, each with the
-    default penalized fit, the two-step refit at ``DEFAULT_TAU0`` and 95%
-    sandwich CIs for the slope.  Replications hitting a singular Gram matrix
-    are excluded from the affected estimator's row and counted as failures.
+    Each mu's replications run in blocks of ``BLOCK_ELEMS // n`` (at least
+    one), each with the default penalized fit, the two-step refit at
+    ``DEFAULT_TAU0`` and 95% sandwich CIs for the slope.  Replications hitting
+    a singular Gram matrix or a non-finite covariance are excluded from the
+    affected estimator's row and counted as failures.
     """
-    if reps < 2:
-        raise ValueError("reps must be at least 2")
+    _check_study(reps, base_cfg)
     grid = [float(m) for m in grid]
     true_coef = float(base_cfg.beta[SLOPE])
+    size = max(1, BLOCK_ELEMS // base_cfg.n)
 
     start = time.perf_counter()
     rows = []
     failures = 0
     for i, mu in enumerate(grid):
-        cell_results = [
-            _run_cell(replace(base_cfg, mu=mu, seed=_cell_seed(base_cfg.seed, i, j)))
-            for j in range(reps)
+        cfg = replace(base_cfg, mu=mu)
+        blocks = [
+            _run_block(
+                _draw(cfg, [_cell_seed(base_cfg.seed, i, j) for j in range(lo, min(lo + size, reps))]),
+                true_coef,
+            )
+            for lo in range(0, reps, size)
         ]
-        pi_uc = float(np.mean([res["pi_uc"] for res in cell_results]))
+        pi_uc = float(np.mean(np.concatenate([b["pi_uc"] for b in blocks])))
         for name in ESTIMATORS:
-            values = [res[name] for res in cell_results]
-            ok = [v for v in values if v is not None]
-            failures += len(values) - len(ok)
-            if not ok:
+            est, cover, ok = (np.concatenate(parts) for parts in zip(*(b[name] for b in blocks)))
+            failures += int(ok.size - ok.sum())
+            if not ok.any():
                 rows.append(
                     ReportRow(name, mu, pi_uc, np.nan, np.nan, np.nan, np.nan, 0)
                 )
                 continue
-            est = np.array([v[0] for v in ok])
-            cover = np.array([v[1] for v in ok], dtype=float)
+            est, cover = est[ok], cover[ok].astype(float)
             errors = est - true_coef
             rows.append(
                 ReportRow(
@@ -210,12 +268,13 @@ def run_study(
                     variance=float(est.var()),
                     mse=float(np.mean(errors**2)),
                     coverage=float(cover.mean()),
-                    reps_used=len(ok),
+                    reps_used=int(ok.sum()),
                 )
             )
     if failures:
         warnings.warn(
-            f"{failures} replication(s) hit a singular Gram matrix and were excluded",
+            f"{failures} replication(s) hit a singular Gram matrix or a non-finite "
+            "covariance and were excluded",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -11,13 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SortedSample
-from .wls import Fit, WeightedDesign, build_weighted_design
+from .wls import Fit, WeightedDesign, _matvec, _require_regular, build_weighted_design
 
 DEFAULT_TAU0 = 0.3
 
 
 def detect_outliers(fit: Fit, tau0: float = DEFAULT_TAU0) -> np.ndarray:
-    """Sorted indices i with |alpha_w_(i)| > tau0 (strict), ascending."""
+    """Sorted indices i with |alpha_w_(i)| > tau0 (strict), ascending; for a
+    block's fit, offsets into the flattened (R * n) rows."""
     if not 0 <= tau0 < np.inf:
         raise ValueError("tau0 must be nonnegative and finite")
     return np.flatnonzero(np.abs(fit.alpha_w) > tau0)
@@ -33,17 +34,26 @@ def fit_two_step(
 
     Equivalent to the joint least-squares problem where shifts are free on
     the flagged set: those rows' residuals are absorbed exactly, so they drop
-    out of the coefficient normal equations.
+    out of the coefficient normal equations.  Raises SingularGramError when
+    the kept rows' Gram matrix is singular.
     """
+    refit, eigs = _refit(build_weighted_design(sorted_sample, kw), fit, tau0)
+    n = kw.w.shape[-1]
+    _require_regular(eigs, f"screened refit after removing {refit.outliers.size} of {n} rows")
+    return refit
+
+
+def _refit(design: WeightedDesign, fit: Fit, tau0: float = DEFAULT_TAU0) -> tuple[Fit, np.ndarray]:
+    """``fit_two_step`` on a design or a block's design, without raising: the refit
+    and the eigenvalues of its Gram, whose singular replications ``_singular`` marks
+    (their coefficients are zero)."""
     outliers = detect_outliers(fit, tau0)
-    design = build_weighted_design(sorted_sample, kw)
-    n = design.yw.shape[0]
+    keep = np.ones(design.yw.shape, dtype=bool)
+    keep.flat[outliers] = False
+    _, inv, eigs = design.inverse(keep)
+    rhs = _matvec(np.swapaxes(design.xw, -1, -2), np.where(keep, design.yw, 0.0))
+    beta = _matvec(inv, rhs)
 
-    keep = np.ones(n, dtype=bool)
-    keep[outliers] = False
-    context = f"screened refit after removing {outliers.size} of {n} rows"
-    _, beta = design.solve(design.xw.T @ np.where(keep, design.yw, 0.0), keep, context)
-
-    alpha_w = np.zeros(n)
-    alpha_w[outliers] = (design.yw - design.xw @ beta)[outliers]
-    return Fit(beta=beta, alpha_w=alpha_w, outliers=outliers)
+    alpha_w = np.zeros(design.yw.shape)
+    alpha_w.flat[outliers] = (design.yw - _matvec(design.xw, beta)).flat[outliers]
+    return Fit(beta=beta, alpha_w=alpha_w, outliers=outliers), eigs

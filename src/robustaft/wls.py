@@ -5,7 +5,9 @@ is the Kaplan-Meier-weighted regression (the Stute estimator when the target
 is the weighted outcome itself).  ``km.km_weights`` builds one design per
 sorted sample, and every fit and sandwich of that sample solves on it.  The
 p x p Gram matrix is inverted through its eigendecomposition, which also gives
-the singularity check, since p is small and fixed while n dominates.
+the singularity check, since p is small and fixed while n dominates.  A design
+may hold a block of replications (a leading axis on every array); each
+replication's Gram is then checked on its own.
 """
 
 from __future__ import annotations
@@ -37,42 +39,60 @@ class WeightedDesign:
     mean(delta).  ``xw`` has rows sqrt(w_(i)) X_(i), ``yw`` entries
     sqrt(w_(i)) Y_(i), and ``gram`` is xw.T @ xw.  Rows with zero weight are
     exactly zero.  Made by ``km.km_weights``, which freezes the arrays in place.
+    A block's design has a leading replication axis on every array, and
+    ``pi_uc_hat`` is then an array with one fraction per replication.
     """
 
     w: np.ndarray
     sqrt_w: np.ndarray
-    pi_uc_hat: float
+    pi_uc_hat: float | np.ndarray
     xw: np.ndarray
     yw: np.ndarray
     gram: np.ndarray
 
-    def solve(
-        self, rhs: np.ndarray, keep: np.ndarray | None = None, context: str = ""
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The Gram matrix of the rows where ``keep`` is true (all rows if None) and
-        the solution of gram @ b = rhs, through one eigendecomposition of the Gram.
+    def inverse(self, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Gram matrix of the rows where ``keep`` is true (all rows if None), its
+        inverse and its eigenvalues, through one eigendecomposition per replication.
 
-        Raises SingularGramError, naming ``context``, when the Gram matrix has a
-        relative eigenvalue below GRAM_RTOL.  The all-rows Gram is ``self.gram``
-        and its inverse is kept on the design, unless singular.
+        Does not raise: a singular Gram (see ``_singular``) gets an all-zero
+        inverse, and callers check the eigenvalues with ``_require_regular``.
+        The all-rows Gram is ``self.gram`` and its inverse is kept on the design.
         """
-        full = keep is None or keep.all()
-        xw = self.xw if full else np.where(keep[:, None], self.xw, 0.0)
-        gram = self.gram if full else xw.T @ xw
+        if keep is None or keep.all():
+            return (self.gram, *_memo(self, ("inverse",), lambda: _invert(self.gram)))
+        xw = np.where(keep[..., None], self.xw, 0.0)
+        gram = np.swapaxes(xw, -1, -2) @ xw
+        return (gram, *_invert(gram))
 
-        def inverse():
-            eigs, vecs = np.linalg.eigh(gram)
-            if eigs[0] <= GRAM_RTOL * max(eigs[-1], 0.0):
-                detail = f" ({context})" if context else ""
-                raise SingularGramError(
-                    f"weighted Gram matrix is singular{detail}: smallest eigenvalue "
-                    f"{eigs[0]:.3e} <= {GRAM_RTOL:g} * largest {eigs[-1]:.3e}; "
-                    "covariates are collinear after weighting"
-                )
-            return (vecs / eigs) @ vecs.T
 
-        inv = _memo(self, ("inverse",), inverse) if full else inverse()
-        return gram, inv @ rhs
+def _invert(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    eigs, vecs = np.linalg.eigh(gram)
+    # dividing by inf zeroes a singular Gram's inverse without a warning
+    scale = np.where(_singular(eigs)[..., None], np.inf, eigs)
+    return (vecs / scale[..., None, :]) @ np.swapaxes(vecs, -1, -2), eigs
+
+
+def _singular(eigs: np.ndarray) -> np.ndarray:
+    """Per replication: is the smallest eigenvalue at most GRAM_RTOL times the largest?"""
+    return eigs[..., 0] <= GRAM_RTOL * np.maximum(eigs[..., -1], 0.0)
+
+
+def _require_regular(eigs: np.ndarray, context: str = "") -> None:
+    """Raise SingularGramError, naming ``context``, if any of the Grams is singular."""
+    singular = _singular(eigs)
+    if np.any(singular):
+        low, high = eigs[singular][0][[0, -1]]
+        detail = f" ({context})" if context else ""
+        raise SingularGramError(
+            f"weighted Gram matrix is singular{detail}: smallest eigenvalue "
+            f"{low:.3e} <= {GRAM_RTOL:g} * largest {high:.3e}; "
+            "covariates are collinear after weighting"
+        )
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v per replication: (..., m, k) times (..., k) gives (..., m)."""
+    return (a @ v[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -84,12 +104,14 @@ class Fit:
     on the ``outliers`` rows (zero elsewhere) for the two-step fit.  ``lam``,
     ``iterations`` and ``objective_trace`` describe the penalized solve; the
     trace records the objective after each full (b, a) cycle plus a final
-    entry for the reported pair and is nonincreasing.
+    entry for the reported pair and is nonincreasing.  A block's fit has a
+    leading replication axis on ``beta``, ``alpha_w``, ``lam`` and the trace,
+    and ``outliers`` holds offsets into the flattened (R * n) rows.
     """
 
     beta: np.ndarray
     alpha_w: np.ndarray
-    lam: float | None = None
+    lam: float | np.ndarray | None = None
     iterations: int = 0
     objective_trace: np.ndarray | None = field(default=None, repr=False)
     outliers: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -110,21 +132,23 @@ class Fit:
 def build_weighted_design(sorted_sample: SortedSample, kw: WeightedDesign) -> WeightedDesign:
     """The weighted design of ``sorted_sample``, which ``km_weights`` built: ``kw``
     itself, after checking that it has one row per observation."""
-    if kw.w.shape[0] != sorted_sample.base.n:
+    if kw.w.shape != sorted_sample.base.y.shape:
         raise ValueError("weight vector length does not match the sample")
     return kw
 
 
 def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
-    """Coefficients b minimizing ||target_w - xw @ b||_2^2.
+    """Coefficients b minimizing ||target_w - xw @ b||_2^2 (per replication of a block).
 
-    Raises SingularGramError when the Gram matrix has a relative eigenvalue
-    below GRAM_RTOL.
+    Raises SingularGramError when the Gram matrix (of any replication) has a
+    relative eigenvalue below GRAM_RTOL.
     """
-    return design.solve(design.xw.T @ target_w)[1]
+    _, inv, eigs = design.inverse()
+    _require_regular(eigs)
+    return _matvec(inv, _matvec(np.swapaxes(design.xw, -1, -2), target_w))
 
 
 def stute_fit(sorted_sample: SortedSample, kw: WeightedDesign) -> Fit:
     """Kaplan-Meier-weighted least squares of Y on X (the non-robust baseline)."""
     design = build_weighted_design(sorted_sample, kw)
-    return Fit(beta=wls_solve(design, design.yw), alpha_w=np.zeros(design.yw.shape[0]))
+    return Fit(beta=wls_solve(design, design.yw), alpha_w=np.zeros(design.yw.shape))

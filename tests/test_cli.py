@@ -258,10 +258,15 @@ def test_fit_output_is_pinned_to_the_byte(capsys, tmp_path, fmt):
         (["fit", "{csv}", "--ci-level", "2"], "level must lie strictly between 0 and 1"),
         # (1 + level) / 2 rounds to 1.0, where the normal quantile is infinite
         (["fit", "{csv}", "--ci-level", "0.9999999999999999"], "level must lie strictly"),
+        # outcomes near 1e200 overflow the influence vectors' covariance
+        (["fit", "{huge_csv}", "--method", "stute"], "covariance is not finite"),
     ],
 )
-def test_bad_input_exits_one(capsys, uncensored_csv, argv, message):
-    argv = [uncensored_csv[0] if a == "{csv}" else a for a in argv]
+def test_bad_input_exits_one(capsys, tmp_path, uncensored_csv, argv, message):
+    path, x, y = uncensored_csv
+    huge = SurvivalSample(y=y * 1e200, delta=np.ones(y.shape[0], dtype=int), x=x)
+    placeholders = {"{csv}": path, "{huge_csv}": write_sample(tmp_path, huge, "huge.csv")}
+    argv = [placeholders.get(a, a) for a in argv]
     rc, out, err = run_cli(capsys, argv)
     assert rc == 1
     assert out == ""
@@ -343,11 +348,14 @@ class TestSimulate:
     def test_rejected_study_leaves_the_output_untouched(self, capsys, tmp_path):
         keep = tmp_path / "keep.csv"
         keep.write_bytes(b"keep\n")
-        for flags in (["--reps", "0"], ["--sample-size", "1"]):
-            rc, out, err = run_cli(capsys, ["simulate", "--output", str(keep), *flags])
-            assert (rc, out) == (1, "")
-            assert err.startswith("error:") and err.count("\n") == 1
+        fresh = tmp_path / "new.csv"
+        for flags in (["--reps", "0"], ["--sample-size", "1"], ["--sample-size", "2"]):
+            for path in (keep, fresh):
+                rc, out, err = run_cli(capsys, ["simulate", "--output", str(path), *flags])
+                assert (rc, out) == (1, "")
+                assert err.startswith("error:") and err.count("\n") == 1
             assert keep.read_bytes() == b"keep\n"
+            assert not fresh.exists()
 
     def test_stdout_report(self, capsys):
         rc, out, _ = run_cli(

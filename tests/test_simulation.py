@@ -1,13 +1,34 @@
+import csv
 import io
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import robustaft.inference as inference_mod
 import robustaft.simulation as simulation
-from robustaft import DESK_PROFILE, PAPER_PROFILE, DgpConfig, generate_sample, run_study
+from robustaft import (
+    DESK_PROFILE,
+    PAPER_PROFILE,
+    DegenerateTailWarning,
+    DgpConfig,
+    SingularGramError,
+    SurvivalSample,
+    fit_penalized,
+    fit_two_step,
+    generate_sample,
+    km_weights,
+    run_study,
+    sandwich_ci,
+    sort_sample,
+    stute_fit,
+)
+from robustaft.data import _adopt
 from robustaft.simulation import ESTIMATORS, _cell_seed
+
+PINNED_REPORT = Path(__file__).with_name("desk_seed1_report.csv")
 
 
 class TestGenerate:
@@ -111,11 +132,11 @@ class TestDeskStudy:
         assert desk_study.failures == 0
 
 
-def test_one_cell_shares_gram_factors_and_the_censoring_km(monkeypatch):
-    """One design inverse serves the Stute fit, the 11 penalized solves and the
-    Stute bread, so a cell checks and inverts at most 4 Gram matrices (the
-    penalized bread, the screened refit and its bread are the others), and the
-    three sandwiches fit the censoring KM once."""
+def test_one_block_shares_gram_factors_and_the_censoring_km(monkeypatch):
+    """A block of 8 replications at n = 500 makes one batched eigendecomposition
+    per Gram kind: the full Gram (which serves the Stute fit, the 11 penalized
+    solves and the Stute bread), the penalized bread, the screened refit and
+    its bread; its three sandwiches fit the censoring KM once."""
     counts = Counter()
 
     def count(module, name):
@@ -129,11 +150,150 @@ def test_one_cell_shares_gram_factors_and_the_censoring_km(monkeypatch):
 
     count(np.linalg, "eigh")
     count(inference_mod, "censoring_km")
-    cfg = DgpConfig(n=500, mu=2.0, seed=_cell_seed(1, 0, 0))
-    results = simulation._run_cell(cfg)
-    assert all(results[name] is not None for name in ESTIMATORS)
-    assert 1 <= counts["eigh"] <= 4
+    size = simulation.BLOCK_ELEMS // 500
+    assert size == 8
+    block = simulation._draw(
+        DgpConfig(n=500, mu=2.0), [_cell_seed(1, 0, j) for j in range(size)]
+    )
+    counts.clear()
+    results = simulation._run_block(block, 1.0)
+    assert all(results[name][2].all() for name in ESTIMATORS)
+    assert counts["eigh"] == 4
     assert counts["censoring_km"] == 1
+
+
+def test_desk_report_matches_the_one_replication_at_a_time_engine():
+    """The report of ``simulate --profile desk --seed 1`` as the engine that fitted
+    one replication at a time wrote it: counts, pi_uc_hat and coverage exactly,
+    the moments within 1e-9 relative."""
+    with PINNED_REPORT.open(newline="") as fh:
+        want = list(csv.DictReader(fh))
+    buf = io.StringIO()
+    run_study(DESK_PROFILE.mu_grid, DESK_PROFILE.reps, DgpConfig(n=DESK_PROFILE.n, seed=1)).to_csv(buf)
+    got = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert len(got) == len(want) == 12
+    for g, w in zip(got, want):
+        for col in ("estimator", "mu", "pi_uc_hat", "coverage", "reps_used"):
+            assert g[col] == w[col], (w["estimator"], w["mu"], col)
+        for col in ("bias", "variance", "mse"):
+            assert float(g[col]) == pytest.approx(float(w[col]), rel=1e-9, abs=0.0)
+
+
+def test_ragged_blocks_give_the_report_of_blocks_of_one(monkeypatch):
+    kwargs = dict(grid=[2.0, 3.5], reps=7, base_cfg=DgpConfig(n=60, seed=13))
+    reports = []
+    for elems in (180, 1):  # blocks of 3, 3 and 1 replications; then of 1
+        monkeypatch.setattr(simulation, "BLOCK_ELEMS", elems)
+        buf = io.StringIO()
+        run_study(**kwargs).to_csv(buf)
+        reports.append(buf.getvalue())
+    assert reports[0] == reports[1]
+
+
+N_ROWS = 40
+
+
+def _replications():
+    """Six samples of 40 rows, most with tied outcomes, each set up for one case."""
+    rng = np.random.default_rng(2024)
+    idx = np.arange(N_ROWS)
+    ones = np.ones(N_ROWS, dtype=np.int64)
+    out = []
+
+    def add(x2, y, delta, tied=True):
+        y = np.round(y, 1) if tied else y
+        out.append((y, delta, np.column_stack([np.ones(N_ROWS), x2])))
+
+    # censored, no failure
+    x2 = rng.uniform(size=N_ROWS)
+    t, c = 1 + x2 + rng.normal(size=N_ROWS), rng.normal(2.5, 1.0, N_ROWS)
+    add(x2, np.minimum(t, c), (t <= c).astype(np.int64))
+    # a constant covariate: singular full Gram
+    add(np.full(N_ROWS, 0.5), 1.5 + rng.normal(size=N_ROWS), ones)
+    # the rows off x2 = 0 are all outliers: singular refit Gram; the censored
+    # second-highest row floors 1 - H
+    x2 = np.select([idx < 3, idx < 6], [1.0, 2.0], 0.0)
+    t = 1 + x2 + 0.3 * rng.normal(size=N_ROWS)
+    t[:3] -= 30.0
+    t[3:6] = [33.0, 32.0, 34.0]
+    add(x2, t, (idx != 3).astype(np.int64))
+    # the rows off x2 = 0 are clamped but not flagged: singular penalized bread
+    x2 = (idx < 4).astype(float)
+    t = 1 + x2 + 0.05 * rng.normal(size=N_ROWS)
+    t[:4] = [3.0, 1.0, 3.0, 1.0]
+    add(x2, t, ones)
+    # outcomes near 1e200: the sandwich covariance overflows
+    x2 = rng.uniform(size=N_ROWS)
+    add(x2, (1 + x2 + rng.normal(size=N_ROWS)) * 1e200, ones, tied=False)
+    # heavy censoring
+    x2 = rng.uniform(size=N_ROWS)
+    t, c = 1 + x2 + rng.normal(size=N_ROWS), rng.normal(1.5, 1.0, N_ROWS)
+    add(x2, np.minimum(t, c), (t <= c).astype(np.int64))
+    return out
+
+
+def _fit_alone(y, delta, x, true_slope):
+    """One sample through the public per-sample functions: (slope, CI covers) per
+    estimator, or None where the per-sample call raised."""
+    ss = sort_sample(SurvivalSample(y=y, delta=delta, x=x))
+    kw = km_weights(ss)
+    results = {"pi_uc": kw.pi_uc_hat, **dict.fromkeys(ESTIMATORS)}
+    fits = {}
+    try:
+        fits["stute"] = stute_fit(ss, kw)
+        fits["penalized"] = fit_penalized(ss, kw)
+        fits["two-step"] = fit_two_step(ss, kw, fits["penalized"])
+    except SingularGramError:
+        pass
+    for name, fit in fits.items():
+        try:
+            inf = sandwich_ci(ss, kw, fit)
+        except (SingularGramError, ValueError):
+            continue
+        results[name] = (fit.beta[1], bool(inf.ci_lower[1] <= true_slope <= inf.ci_upper[1]))
+    return results
+
+
+def _floor_warnings(record) -> list[str]:
+    return sorted(str(w.message) for w in record if issubclass(w.category, DegenerateTailWarning))
+
+
+def test_a_block_matches_its_samples_fitted_one_at_a_time(monkeypatch):
+    # a floor this high trips on realistic tails, so some replications warn
+    monkeypatch.setattr(inference_mod, "DENOM_FLOOR", 0.05)
+    reps = _replications()
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        alone = [_fit_alone(*rep, 1.0) for rep in reps]
+    want_warnings = _floor_warnings(record)
+    assert want_warnings  # some (replication, estimator) pairs floor a denominator
+
+    # the cases happen as labelled
+    assert [[alone[r][name] is not None for name in ESTIMATORS] for r in range(6)] == [
+        [True, True, True],
+        [False, False, False],  # singular full Gram: all three
+        [True, False, False],  # singular refit: the two-step fit (the penalized bread is a subset)
+        [True, False, True],  # singular penalized bread: the penalized fit only
+        [False, False, False],  # non-finite covariance (and all 40 rows flagged)
+        [True, True, True],
+    ]
+    for cuts in ([0, 6], [0, 4, 6], [0, 1, 2, 3, 4, 5, 6]):  # one block; ragged; blocks of one
+        got_warnings = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            block = _adopt(*(np.stack([rep[k] for rep in reps[lo:hi]]) for k in range(3)))
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                got = simulation._run_block(block, 1.0)
+            got_warnings += _floor_warnings(record)
+            for r in range(hi - lo):
+                want = alone[lo + r]
+                assert got["pi_uc"][r] == want["pi_uc"]
+                for name in ESTIMATORS:
+                    slope, covered, ok = (a[r] for a in got[name])
+                    assert ok == (want[name] is not None), (lo + r, name)
+                    if ok:
+                        assert (slope, covered) == want[name], (lo + r, name)
+        assert sorted(got_warnings) == want_warnings
 
 
 def test_profiles_match_documented_settings():
