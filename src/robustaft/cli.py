@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
+import os
 import sys
 from contextlib import nullcontext
 
@@ -18,7 +18,7 @@ from .inference import normal_quantile, sandwich_ci
 from .km import km_weights
 from .penalized import PenalizedConfig, fit_penalized
 from .simulation import DESK_PROFILE, ESTIMATORS, PAPER_PROFILE, DgpConfig, _check_study, run_study
-from .two_step import DEFAULT_TAU0, detect_outliers, fit_two_step
+from .two_step import DEFAULT_TAU0, _check_tau0, detect_outliers, fit_two_step
 from .wls import SingularGramError, stute_fit
 
 
@@ -31,8 +31,7 @@ def _text(value) -> str:
 
 
 def cmd_fit(args) -> int:
-    if not 0 <= args.tau0 < math.inf:
-        raise ValueError("tau0 must be nonnegative and finite")
+    _check_tau0(args.tau0)
     normal_quantile(args.ci_level)  # reject the level before reading the file
     cfg = PenalizedConfig(
         lambda0=args.lambda0,
@@ -128,11 +127,17 @@ def cmd_simulate(args) -> int:
     cfg = DgpConfig(n=n, seed=args.seed)
     _check_study(reps, cfg)  # rejected arguments leave no file behind
     to_file = args.output != "-"
+    created = to_file and not os.path.lexists(args.output)
     # "a" fails early on an unwritable path but empties nothing; held open, a pipe keeps its reader
     with open(args.output, "a") if to_file else nullcontext():
-        report = run_study(grid=profile.mu_grid, reps=reps, base_cfg=cfg)
-        with open(args.output, "w", newline="") if to_file else nullcontext(sys.stdout) as fh:
-            report.to_csv(fh)
+        try:
+            report = run_study(grid=profile.mu_grid, reps=reps, base_cfg=cfg)
+            with open(args.output, "w", newline="") if to_file else nullcontext(sys.stdout) as fh:
+                report.to_csv(fh)
+        except BaseException:
+            if created:  # a failed study leaves no file it made
+                os.remove(args.output)
+            raise
     return 0
 
 
@@ -149,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=ESTIMATORS,
         default="two-step",
-        help="estimator to fit (default: two-step)",
+        help="estimator to fit (default: two-step; use its CI for inference, since the "
+        "penalized CI undercovers more as n grows)",
     )
     fit.add_argument(
         "--lambda0", type=float, default=PenalizedConfig.lambda0, help="penalty rule constant"

@@ -105,7 +105,8 @@ def compute_psi(
     xi_(i) = Y_(i) - X_(i)' beta - alpha_(i); pass None for a fit without
     shift parameters.  Emits DegenerateTailWarning when any used tail
     denominator falls below DENOM_FLOOR (it is floored, not propagated); a
-    block warns once for each replication that floors one.
+    block warns once for each replication that floors one.  A replication
+    whose ``beta`` is not finite (a failed fit) does not warn.
 
     The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
 
@@ -147,7 +148,8 @@ def compute_psi(
     gamma1 = s_strict  # s_strict is spent too: divide it in place
     gamma1 /= n * denom_h
 
-    for count in np.ravel(n_floored)[np.ravel(n_floored) > 0]:
+    n_floored = np.ravel(np.where(np.isfinite(beta).all(axis=-1), n_floored, 0))
+    for count in n_floored[n_floored > 0]:
         warnings.warn(
             f"{count} tail denominator(s) below {floor:g} floored; "
             "variance estimates near the censoring tail are unreliable",

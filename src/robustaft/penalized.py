@@ -6,8 +6,10 @@ The estimator solves
 
 where aw_(i) = sqrt(w_(i)) a_(i) is a mean-shift parameter for observation i;
 a nonzero entry flags that observation as an outlier.  The problem is convex
-and is computed by exact alternating minimization: a weighted least-squares
-step in b, then a closed-form soft-threshold step in aw.
+and is computed by a fixed number of alternating cycles (10 by default): a
+weighted least-squares step in b, then a closed-form soft-threshold step in aw.
+This stops short of the optimum (median relative KKT violation 0.4% at
+n = 1000, mu = 5).
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ the cell's place in the grid.
 
 The study evaluates each mu's replications in blocks of R samples held as
 (R, n) arrays, which every estimator and sandwich processes at once; a
-replication's numbers do not depend on the block it shares.
+replication's numbers do not depend on the block it shares.  A replication
+counts for an estimator exactly when its covariance is finite.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .inference import _finite, _sandwich
 from .km import km_weights
 from .penalized import PenalizedConfig, _alternate
 from .two_step import _refit
-from .wls import Fit, _singular, stute_fit
+from .wls import _singular, stute_fit
 
 ESTIMATORS = ("stute", "penalized", "two-step")
 SLOPE = 1  # index of the coefficient the study reports on
@@ -165,11 +166,10 @@ def _run_block(sample: SurvivalSample, true_slope: float) -> dict:
 
     Returns the per-replication ``pi_uc`` and, per estimator, a triple of
     (R,) arrays: the slope estimates, whether the 95% sandwich CI covers
-    ``true_slope``, and whether the replication counts.  It does not count
-    where a singular Gram matrix or a non-finite covariance stopped that
-    estimator, as fitting each sample alone would raise: a singular full Gram
-    stops all three fits, a singular refit Gram only the two-step fit, and a
-    singular bread or covariance only its own estimator.
+    ``true_slope``, and whether the replication counts: whether its covariance
+    is finite.  A singular refit or bread Gram has a NaN inverse and so a NaN
+    covariance, where fitting the sample alone would raise; a singular full
+    Gram stops all three fits, so those replications are dropped up front.
     """
     ss = sort_sample(sample)
     kw = km_weights(ss)
@@ -180,35 +180,19 @@ def _run_block(sample: SurvivalSample, true_slope: float) -> dict:
 
     # the replications whose full Gram is regular, as positions in the block
     rows = np.flatnonzero(~_singular(kw.inverse()[2]))
+    if not rows.size:  # an empty block has nothing to sort
+        return results
     if rows.size < reps:
-        if not rows.size:
-            return results
-        ss, kw = _subblock(ss, rows)
-    stute = stute_fit(ss, kw)
+        ss = sort_sample(_adopt(y=sample.y[rows], delta=sample.delta[rows], x=sample.x[rows]))
+        kw = km_weights(ss)
     pen = _alternate(kw, PenalizedConfig())
-    two, refit_eigs = _refit(kw, pen)
-    every, refitted = np.arange(rows.size), np.flatnonzero(~_singular(refit_eigs))
-    for name, fit, kept in (("stute", stute, every), ("penalized", pen, every), ("two-step", two, refitted)):
-        if not kept.size:
-            continue
-        s, k = ss, kw
-        if kept.size < rows.size:
-            s, k = _subblock(ss, kept)
-            fit = Fit(beta=fit.beta[kept], alpha_w=fit.alpha_w[kept])
-        inf, eigs = _sandwich(s, k, fit)
+    for name, fit in zip(ESTIMATORS, (stute_fit(ss, kw), pen, _refit(kw, pen)[0])):
+        inf, _ = _sandwich(ss, kw, fit)
         slope, covered, ok = results[name]
-        at = rows[kept]
-        slope[at] = fit.beta[:, SLOPE]
-        covered[at] = (inf.ci_lower[:, SLOPE] <= true_slope) & (true_slope <= inf.ci_upper[:, SLOPE])
-        ok[at] = ~_singular(eigs) & _finite(inf)
+        slope[rows] = fit.beta[:, SLOPE]
+        covered[rows] = (inf.ci_lower[:, SLOPE] <= true_slope) & (true_slope <= inf.ci_upper[:, SLOPE])
+        ok[rows] = _finite(inf)
     return results
-
-
-def _subblock(ss, rows: np.ndarray):
-    """The sorted sample and weighted design of the block's replications ``rows``."""
-    base = ss.base
-    sub = sort_sample(_adopt(y=base.y[rows], delta=base.delta[rows], x=base.x[rows]))
-    return sub, km_weights(sub)
 
 
 def _check_study(reps: int, base_cfg: DgpConfig) -> None:
@@ -227,9 +211,9 @@ def run_study(
 
     Each mu's replications run in blocks of ``BLOCK_ELEMS // n`` (at least
     one), each with the default penalized fit, the two-step refit at
-    ``DEFAULT_TAU0`` and 95% sandwich CIs for the slope.  Replications hitting
-    a singular Gram matrix or a non-finite covariance are excluded from the
-    affected estimator's row and counted as failures.
+    ``DEFAULT_TAU0`` and 95% sandwich CIs for the slope.  A replication whose
+    covariance is not finite (a singular Gram matrix gives a NaN one) is
+    excluded from that estimator's row and counted as a failure.
     """
     _check_study(reps, base_cfg)
     grid = [float(m) for m in grid]

@@ -16,11 +16,15 @@ from .wls import Fit, WeightedDesign, _matvec, _require_regular, build_weighted_
 DEFAULT_TAU0 = 0.3
 
 
+def _check_tau0(tau0: float) -> None:
+    if not 0 <= tau0 < np.inf:
+        raise ValueError("tau0 must be nonnegative and finite")
+
+
 def detect_outliers(fit: Fit, tau0: float = DEFAULT_TAU0) -> np.ndarray:
     """Sorted indices i with |alpha_w_(i)| > tau0 (strict), ascending; for a
     block's fit, offsets into the flattened (R * n) rows."""
-    if not 0 <= tau0 < np.inf:
-        raise ValueError("tau0 must be nonnegative and finite")
+    _check_tau0(tau0)
     return np.flatnonzero(np.abs(fit.alpha_w) > tau0)
 
 
@@ -46,7 +50,7 @@ def fit_two_step(
 def _refit(design: WeightedDesign, fit: Fit, tau0: float = DEFAULT_TAU0) -> tuple[Fit, np.ndarray]:
     """``fit_two_step`` on a design or a block's design, without raising: the refit
     and the eigenvalues of its Gram, whose singular replications ``_singular`` marks
-    (their coefficients are zero)."""
+    (their coefficients are NaN)."""
     outliers = detect_outliers(fit, tau0)
     keep = np.ones(design.yw.shape, dtype=bool)
     keep.flat[outliers] = False

@@ -54,7 +54,7 @@ class WeightedDesign:
         """The Gram matrix of the rows where ``keep`` is true (all rows if None), its
         inverse and its eigenvalues, through one eigendecomposition per replication.
 
-        Does not raise: a singular Gram (see ``_singular``) gets an all-zero
+        Does not raise: a singular Gram (see ``_singular``) gets an all-NaN
         inverse, and callers check the eigenvalues with ``_require_regular``.
         The all-rows Gram is ``self.gram`` and its inverse is kept on the design.
         """
@@ -67,8 +67,8 @@ class WeightedDesign:
 
 def _invert(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigs, vecs = np.linalg.eigh(gram)
-    # dividing by inf zeroes a singular Gram's inverse without a warning
-    scale = np.where(_singular(eigs)[..., None], np.inf, eigs)
+    # dividing by NaN makes a singular Gram's inverse all NaN, without a warning
+    scale = np.where(_singular(eigs)[..., None], np.nan, eigs)
     return (vecs / scale[..., None, :]) @ np.swapaxes(vecs, -1, -2), eigs
 
 

@@ -357,6 +357,19 @@ class TestSimulate:
             assert keep.read_bytes() == b"keep\n"
             assert not fresh.exists()
 
+    def test_failed_study_leaves_no_file_it_made(self, capsys, tmp_path):
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"keep\n")
+        fresh = tmp_path / "new.csv"
+        for path in (fresh, keep):
+            # 7.1 PiB: the first block's draw fails before a page is touched
+            argv = ["simulate", "--sample-size", "1000000000000000", "--reps", "2"]
+            rc, out, err = run_cli(capsys, argv + ["--output", str(path)])
+            assert (rc, out) == (1, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+        assert not fresh.exists()
+        assert keep.read_bytes() == b"keep\n"
+
     def test_stdout_report(self, capsys):
         rc, out, _ = run_cli(
             capsys,

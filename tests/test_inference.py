@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,19 @@ class TestComputePsi:
         for sample in (ss, warm):
             with pytest.warns(DegenerateTailWarning):
                 compute_psi(sample, np.zeros(1))
+
+    def test_a_failed_fit_does_not_warn(self, monkeypatch):
+        """The floor trips on this sample: a finite beta warns, and a NaN beta (a
+        fit that failed) is silent, as a sample fitted alone raises before psi."""
+        monkeypatch.setattr(inference_mod, "DENOM_FLOOR", 0.05)
+        # the censored second-highest of 40 rows has 1 - H = 1/40
+        ss, _ = prepare(np.arange(40.0), (np.arange(40) != 38).astype(int))
+        with pytest.warns(DegenerateTailWarning):
+            compute_psi(ss, np.zeros(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateTailWarning)
+            psi = compute_psi(ss, np.full(1, np.nan))
+        assert np.isnan(psi).all()
 
     def test_no_warning_on_clean_data(self):
         rng = np.random.default_rng(44)

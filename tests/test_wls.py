@@ -13,6 +13,7 @@ from robustaft import (
     wls_solve,
 )
 from robustaft.simulation import _cell_seed
+from robustaft.wls import _singular
 from oracles import ols_lstsq
 
 
@@ -113,6 +114,19 @@ class TestWlsSolve:
                 wls_solve(d, d.yw)
         with pytest.raises(SingularGramError, match="collinear"):
             stute_fit(ss, kw)
+
+    def test_singular_gram_has_a_nan_inverse(self):
+        """A constant covariate: the inverse is all NaN, so nothing computed from it
+        passes for a number, and the solve still raises."""
+        x = np.column_stack([np.ones(10), np.full(10, 0.5)])
+        _, kw = uncensored(np.arange(10.0), x)
+        gram, inv, eigs = kw.inverse()
+        assert gram is kw.gram
+        assert np.isnan(inv).all()
+        assert _singular(eigs)
+        message = r"^weighted Gram matrix is singular: smallest eigenvalue .* collinear after weighting$"
+        with pytest.raises(SingularGramError, match=message):
+            wls_solve(kw, kw.yw)
 
 
 class TestStuteFit:
