@@ -132,6 +132,12 @@ def cmd_simulate(args) -> int:
     with open(args.output, "a") if to_file else nullcontext():
         try:
             report = run_study(grid=profile.mu_grid, reps=reps, base_cfg=cfg)
+            if report.failures:
+                print(
+                    f"warning: {report.failures} replication(s) hit a singular Gram matrix "
+                    "or a non-finite covariance and were excluded",
+                    file=sys.stderr,
+                )
             with open(args.output, "w", newline="") if to_file else nullcontext(sys.stdout) as fh:
                 report.to_csv(fh)
         except BaseException:

@@ -188,33 +188,13 @@ def sandwich_ci(
     unclamped rows for the penalized fit (the Huber bread of the l1
     mean-shift problem) and the unflagged rows for the two-step refit.
 
-    Raises SingularGramError when that Gram matrix is singular, and
-    ValueError when the covariance is not finite (the influence vectors
+    Raises SingularGramError when a sample's Gram matrix is singular, and
+    ValueError when its covariance is not finite (the influence vectors
     overflow, as with outcomes near 1e200), rather than print NaN intervals.
+    A block raises neither: a replication that would has a NaN or infinite
+    covariance, which ``_finite`` marks.
     """
-    inf, eigs = _sandwich(sorted_sample, build_weighted_design(sorted_sample, kw), fit, level)
-    n = kw.w.shape[-1]
-    kept = int(np.count_nonzero(fit.alpha_w == 0.0))
-    _require_regular(eigs, f"sandwich bread over the {kept} of {n} rows with zero shift")
-    if not _finite(inf):
-        raise ValueError(
-            "the sandwich covariance is not finite: the influence vectors overflow "
-            "(rescale y and x)"
-        )
-    return inf
-
-
-def _finite(inf: InferenceResult) -> np.ndarray:
-    """Per replication: is the coefficient covariance finite?"""
-    return np.isfinite(inf.cov_beta).all(axis=(-2, -1))
-
-
-def _sandwich(
-    sorted_sample: SortedSample, design: WeightedDesign, fit: Fit, level: float = 0.95
-) -> tuple[InferenceResult, np.ndarray]:
-    """``sandwich_ci`` on a sample or a block, without raising on a singular bread
-    or an infinite covariance: the result and the bread's eigenvalues, for
-    ``_singular`` and ``_finite`` to judge each replication."""
+    design = build_weighted_design(sorted_sample, kw)
     z = normal_quantile(level)
     alpha = np.divide(fit.alpha_w, design.sqrt_w, out=np.zeros(design.w.shape), where=design.w > 0)
     # one contiguous (p, n) array per replication, so a replication's products
@@ -230,11 +210,14 @@ def _sandwich(
         centered -= np.cumsum(psi_t, axis=-1)[..., -1:] / n
         sigma_hat = centered @ np.swapaxes(centered, -1, -2) / n
 
-        sigma_x, sigma_x_inv, eigs = design.inverse(fit.alpha_w == 0.0)
+        kept = fit.alpha_w == 0.0
+        sigma_x, sigma_x_inv, eigs = design.inverse(kept)
+        context = f"sandwich bread over the {np.count_nonzero(kept)} of {n} rows with zero shift"
+        _require_regular(eigs, context)
         cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
         cov_beta = (cov_beta + np.swapaxes(cov_beta, -1, -2)) / 2.0
         std_errors = np.sqrt(np.clip(np.diagonal(cov_beta, axis1=-2, axis2=-1), 0.0, None))
-    return InferenceResult(
+    inf = InferenceResult(
         beta=np.array(fit.beta),
         sigma_x_hat=sigma_x,
         sigma_hat=sigma_hat,
@@ -243,4 +226,15 @@ def _sandwich(
         ci_lower=fit.beta - z * std_errors,
         ci_upper=fit.beta + z * std_errors,
         level=float(level),
-    ), eigs
+    )
+    if cov_beta.ndim == 2 and not _finite(inf):
+        raise ValueError(
+            "the sandwich covariance is not finite: the influence vectors overflow "
+            "(rescale y and x)"
+        )
+    return inf
+
+
+def _finite(inf: InferenceResult) -> np.ndarray:
+    """Per replication: is the coefficient covariance finite?"""
+    return np.isfinite(inf.cov_beta).all(axis=(-2, -1))

@@ -12,9 +12,11 @@ the cell coordinates, so each cell's sample depends only on the study seed and
 the cell's place in the grid.
 
 The study evaluates each mu's replications in blocks of R samples held as
-(R, n) arrays, which every estimator and sandwich processes at once; a
-replication's numbers do not depend on the block it shares.  A replication
-counts for an estimator exactly when its covariance is finite.
+(R, n) arrays, which the public per-sample functions (``stute_fit``,
+``fit_two_step``, ``sandwich_ci``) process at once; a replication's numbers do
+not depend on the block it shares.  Where fitting a sample alone raises, a
+block makes that replication's results NaN instead, and a replication counts
+for an estimator exactly when its covariance is finite.
 """
 
 from __future__ import annotations
@@ -22,17 +24,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import SurvivalSample, _adopt, _check_entries, _check_size, sort_sample
-from .inference import _finite, _sandwich
+from .inference import _finite, sandwich_ci
 from .km import km_weights
 from .penalized import PenalizedConfig, _alternate
-from .two_step import _refit
-from .wls import _singular, stute_fit
+from .two_step import fit_two_step
+from .wls import stute_fit
 
 ESTIMATORS = ("stute", "penalized", "two-step")
 SLOPE = 1  # index of the coefficient the study reports on
@@ -86,7 +87,11 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Aggregated study results: one row per (estimator, mu) pair."""
+    """Aggregated study results: one row per (estimator, mu) pair.
+
+    ``failures`` counts the (replication, estimator) pairs excluded because
+    the covariance was not finite: a singular Gram matrix or an overflow.
+    """
 
     rows: tuple[ReportRow, ...]
     failures: int
@@ -162,36 +167,23 @@ def _cell_seed(base_seed: int, mu_index: int, rep_index: int) -> int:
 
 
 def _run_block(sample: SurvivalSample, true_slope: float) -> dict:
-    """One block of replications.
+    """One block of replications, sorted and weighted once and fitted by the
+    per-sample functions, which take a block as well.
 
     Returns the per-replication ``pi_uc`` and, per estimator, a triple of
     (R,) arrays: the slope estimates, whether the 95% sandwich CI covers
     ``true_slope``, and whether the replication counts: whether its covariance
-    is finite.  A singular refit or bread Gram has a NaN inverse and so a NaN
-    covariance, where fitting the sample alone would raise; a singular full
-    Gram stops all three fits, so those replications are dropped up front.
+    is finite.  A singular Gram has a NaN inverse, so where fitting a
+    replication alone would raise, its covariance is NaN.
     """
     ss = sort_sample(sample)
     kw = km_weights(ss)
-    reps = sample.y.shape[0]
-    results = {"pi_uc": kw.pi_uc_hat}
-    for name in ESTIMATORS:
-        results[name] = (np.full(reps, np.nan), np.zeros(reps, dtype=bool), np.zeros(reps, dtype=bool))
-
-    # the replications whose full Gram is regular, as positions in the block
-    rows = np.flatnonzero(~_singular(kw.inverse()[2]))
-    if not rows.size:  # an empty block has nothing to sort
-        return results
-    if rows.size < reps:
-        ss = sort_sample(_adopt(y=sample.y[rows], delta=sample.delta[rows], x=sample.x[rows]))
-        kw = km_weights(ss)
     pen = _alternate(kw, PenalizedConfig())
-    for name, fit in zip(ESTIMATORS, (stute_fit(ss, kw), pen, _refit(kw, pen)[0])):
-        inf, _ = _sandwich(ss, kw, fit)
-        slope, covered, ok = results[name]
-        slope[rows] = fit.beta[:, SLOPE]
-        covered[rows] = (inf.ci_lower[:, SLOPE] <= true_slope) & (true_slope <= inf.ci_upper[:, SLOPE])
-        ok[rows] = _finite(inf)
+    results = {"pi_uc": kw.pi_uc_hat}
+    for name, fit in zip(ESTIMATORS, (stute_fit(ss, kw), pen, fit_two_step(ss, kw, pen))):
+        inf = sandwich_ci(ss, kw, fit)
+        covered = (inf.ci_lower[:, SLOPE] <= true_slope) & (true_slope <= inf.ci_upper[:, SLOPE])
+        results[name] = (fit.beta[:, SLOPE], covered, _finite(inf))
     return results
 
 
@@ -213,7 +205,8 @@ def run_study(
     one), each with the default penalized fit, the two-step refit at
     ``DEFAULT_TAU0`` and 95% sandwich CIs for the slope.  A replication whose
     covariance is not finite (a singular Gram matrix gives a NaN one) is
-    excluded from that estimator's row and counted as a failure.
+    excluded from that estimator's row and counted in the report's
+    ``failures``; the study does not warn about it.
     """
     _check_study(reps, base_cfg)
     grid = [float(m) for m in grid]
@@ -255,13 +248,6 @@ def run_study(
                     reps_used=int(ok.sum()),
                 )
             )
-    if failures:
-        warnings.warn(
-            f"{failures} replication(s) hit a singular Gram matrix or a non-finite "
-            "covariance and were excluded",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return MonteCarloReport(
         rows=tuple(rows),
         failures=failures,

@@ -38,26 +38,20 @@ def fit_two_step(
 
     Equivalent to the joint least-squares problem where shifts are free on
     the flagged set: those rows' residuals are absorbed exactly, so they drop
-    out of the coefficient normal equations.  Raises SingularGramError when
-    the kept rows' Gram matrix is singular.
+    out of the coefficient normal equations.  Raises SingularGramError when a
+    sample's kept rows have a singular Gram matrix; in a block, such a
+    replication gets NaN coefficients instead.
     """
-    refit, eigs = _refit(build_weighted_design(sorted_sample, kw), fit, tau0)
-    n = kw.w.shape[-1]
-    _require_regular(eigs, f"screened refit after removing {refit.outliers.size} of {n} rows")
-    return refit
-
-
-def _refit(design: WeightedDesign, fit: Fit, tau0: float = DEFAULT_TAU0) -> tuple[Fit, np.ndarray]:
-    """``fit_two_step`` on a design or a block's design, without raising: the refit
-    and the eigenvalues of its Gram, whose singular replications ``_singular`` marks
-    (their coefficients are NaN)."""
+    design = build_weighted_design(sorted_sample, kw)
     outliers = detect_outliers(fit, tau0)
     keep = np.ones(design.yw.shape, dtype=bool)
     keep.flat[outliers] = False
     _, inv, eigs = design.inverse(keep)
+    n = design.yw.shape[-1]
+    _require_regular(eigs, f"screened refit after removing {outliers.size} of {n} rows")
     rhs = _matvec(np.swapaxes(design.xw, -1, -2), np.where(keep, design.yw, 0.0))
     beta = _matvec(inv, rhs)
 
     alpha_w = np.zeros(design.yw.shape)
     alpha_w.flat[outliers] = (design.yw - _matvec(design.xw, beta)).flat[outliers]
-    return Fit(beta=beta, alpha_w=alpha_w, outliers=outliers), eigs
+    return Fit(beta=beta, alpha_w=alpha_w, outliers=outliers)

@@ -6,8 +6,9 @@ is the weighted outcome itself).  ``km.km_weights`` builds one design per
 sorted sample, and every fit and sandwich of that sample solves on it.  The
 p x p Gram matrix is inverted through its eigendecomposition, which also gives
 the singularity check, since p is small and fixed while n dominates.  A design
-may hold a block of replications (a leading axis on every array); each
-replication's Gram is then checked on its own.
+may hold a block of replications (a leading axis on every array).  A singular
+Gram raises for a sample; in a block it makes only that replication's results
+NaN.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class WeightedDesign:
         inverse and its eigenvalues, through one eigendecomposition per replication.
 
         Does not raise: a singular Gram (see ``_singular``) gets an all-NaN
-        inverse, and callers check the eigenvalues with ``_require_regular``.
-        The all-rows Gram is ``self.gram`` and its inverse is kept on the design.
+        inverse, so whatever a block computes from a singular replication is
+        NaN, while a sample's caller raises through ``_require_regular``.  The
+        all-rows Gram is ``self.gram`` and its inverse is kept on the design.
         """
         if keep is None or keep.all():
             return (self.gram, *_memo(self, ("inverse",), lambda: _invert(self.gram)))
@@ -78,10 +80,13 @@ def _singular(eigs: np.ndarray) -> np.ndarray:
 
 
 def _require_regular(eigs: np.ndarray, context: str = "") -> None:
-    """Raise SingularGramError, naming ``context``, if any of the Grams is singular."""
-    singular = _singular(eigs)
-    if np.any(singular):
-        low, high = eigs[singular][0][[0, -1]]
+    """Raise SingularGramError, naming ``context``, if one sample's Gram is singular.
+
+    A block's eigenvalues (one row per replication) never raise: a singular
+    replication's inverse is NaN, so its results are NaN and the study drops it.
+    """
+    if eigs.ndim == 1 and _singular(eigs):
+        low, high = eigs[[0, -1]]
         detail = f" ({context})" if context else ""
         raise SingularGramError(
             f"weighted Gram matrix is singular{detail}: smallest eigenvalue "
@@ -140,8 +145,9 @@ def build_weighted_design(sorted_sample: SortedSample, kw: WeightedDesign) -> We
 def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
     """Coefficients b minimizing ||target_w - xw @ b||_2^2 (per replication of a block).
 
-    Raises SingularGramError when the Gram matrix (of any replication) has a
-    relative eigenvalue below GRAM_RTOL.
+    Raises SingularGramError when a sample's Gram matrix has a relative
+    eigenvalue below GRAM_RTOL; a block's singular replication gets NaN
+    coefficients instead.
     """
     _, inv, eigs = design.inverse()
     _require_regular(eigs)

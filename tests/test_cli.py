@@ -370,6 +370,16 @@ class TestSimulate:
         assert not fresh.exists()
         assert keep.read_bytes() == b"keep\n"
 
+    def test_dropped_replications_print_one_warning_line(self, capsys):
+        rc, out, err = run_cli(
+            capsys, ["simulate", "--sample-size", "8", "--reps", "200", "--seed", "3"]
+        )
+        assert rc == 0 and out.startswith("estimator,")
+        assert err == (
+            "warning: 31 replication(s) hit a singular Gram matrix or a non-finite "
+            "covariance and were excluded\n"
+        )
+
     def test_stdout_report(self, capsys):
         rc, out, _ = run_cli(
             capsys,
