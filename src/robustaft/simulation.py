@@ -12,9 +12,9 @@ the cell coordinates, so each cell's sample depends only on the study seed and
 the cell's place in the grid.
 
 The study evaluates each mu's replications in blocks of R samples held as
-(R, n) arrays, which the public per-sample functions (``stute_fit``,
-``fit_two_step``, ``sandwich_ci``) process at once; a replication's numbers do
-not depend on the block it shares.  Where fitting a sample alone raises, a
+(R, n) arrays.  The public ``stute_fit``, ``fit_penalized``, ``fit_two_step``
+and ``sandwich_ci`` take a block as well as a sample; a replication's numbers
+do not depend on the block it shares.  Where fitting a sample alone raises, a
 block makes that replication's results NaN instead, and a replication counts
 for an estimator exactly when its covariance is finite.
 """
@@ -31,7 +31,7 @@ import numpy as np
 from .data import SurvivalSample, _adopt, _check_entries, _check_size, sort_sample
 from .inference import _finite, sandwich_ci
 from .km import km_weights
-from .penalized import PenalizedConfig, _alternate
+from .penalized import fit_penalized
 from .two_step import fit_two_step
 from .wls import stute_fit
 
@@ -167,8 +167,8 @@ def _cell_seed(base_seed: int, mu_index: int, rep_index: int) -> int:
 
 
 def _run_block(sample: SurvivalSample, true_slope: float) -> dict:
-    """One block of replications, sorted and weighted once and fitted by the
-    per-sample functions, which take a block as well.
+    """One block of replications, sorted and weighted once and fitted by
+    ``stute_fit``, ``fit_penalized``, ``fit_two_step`` and ``sandwich_ci``.
 
     Returns the per-replication ``pi_uc`` and, per estimator, a triple of
     (R,) arrays: the slope estimates, whether the 95% sandwich CI covers
@@ -178,7 +178,7 @@ def _run_block(sample: SurvivalSample, true_slope: float) -> dict:
     """
     ss = sort_sample(sample)
     kw = km_weights(ss)
-    pen = _alternate(kw, PenalizedConfig())
+    pen = fit_penalized(ss, kw)
     results = {"pi_uc": kw.pi_uc_hat}
     for name, fit in zip(ESTIMATORS, (stute_fit(ss, kw), pen, fit_two_step(ss, kw, pen))):
         inf = sandwich_ci(ss, kw, fit)

@@ -110,8 +110,9 @@ class Fit:
     ``iterations`` and ``objective_trace`` describe the penalized solve; the
     trace records the objective after each full (b, a) cycle plus a final
     entry for the reported pair and is nonincreasing.  A block's fit has a
-    leading replication axis on ``beta``, ``alpha_w``, ``lam`` and the trace,
-    and ``outliers`` holds offsets into the flattened (R * n) rows.
+    leading replication axis on ``beta``, ``alpha_w`` and ``lam``, its trace
+    sums the replications' objectives (NaN if any fit failed), and
+    ``outliers`` holds offsets into the flattened (R * n) rows.
     """
 
     beta: np.ndarray

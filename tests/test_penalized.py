@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from robustaft import (
     stute_fit,
     wls_solve,
 )
-from robustaft.simulation import _cell_seed
+from robustaft.simulation import _cell_seed, _draw
 from oracles import l1_shift_objective_min, random_instance
 
 
@@ -139,6 +141,20 @@ class TestFitPenalized:
             PenalizedConfig(max_iter=0)
         with pytest.raises(ValueError):
             PenalizedConfig(lambda0=-1.0)
+
+    def test_a_block_fits_each_replication_as_alone_and_traces_their_total(self):
+        cfg = DgpConfig(n=200, mu=2.0)
+        seeds = [_cell_seed(5, 0, j) for j in range(4)]
+        block = fit_penalized(*prepare(_draw(cfg, seeds)))
+        alone = [fit_penalized(*prepare(generate_sample(replace(cfg, seed=s)))) for s in seeds]
+        for r, fit in enumerate(alone):
+            assert np.array_equal(block.beta[r], fit.beta)
+            assert np.array_equal(block.alpha_w[r], fit.alpha_w)
+            assert block.lam[r] == fit.lam
+        assert block.objective_trace.shape == (block.iterations + 1,)
+        total = np.sum([fit.objective_trace for fit in alone], axis=0)
+        assert np.allclose(block.objective_trace, total, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(block.objective_trace) <= 1e-10)
 
 
 def test_gross_outliers_are_flagged_with_high_probability():

@@ -312,7 +312,7 @@ def test_a_block_is_sorted_weighted_and_fitted_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(np.linalg, "eigh")
-    for name in ("sort_sample", "km_weights", "stute_fit", "fit_two_step", "sandwich_ci"):
+    for name in ("sort_sample", "km_weights", "stute_fit", "fit_penalized", "fit_two_step", "sandwich_ci"):
         count(simulation, name)
     reps = _replications()
     block = _adopt(*(np.stack([rep[k] for rep in reps]) for k in range(3)))
@@ -321,7 +321,8 @@ def test_a_block_is_sorted_weighted_and_fitted_once(monkeypatch):
         results = simulation._run_block(block, 1.0)
     assert not results["stute"][2][1]  # the singular full Gram counts for no estimator
     assert counts == {
-        "sort_sample": 1, "km_weights": 1, "eigh": 4, "stute_fit": 1, "fit_two_step": 1, "sandwich_ci": 3,
+        "sort_sample": 1, "km_weights": 1, "eigh": 4, "stute_fit": 1, "fit_penalized": 1,
+        "fit_two_step": 1, "sandwich_ci": 3,
     }
 
 
