@@ -121,17 +121,30 @@ class SortedSample:
 
 def sort_sample(sample: SurvivalSample) -> SortedSample:
     """Stable sort by (y ascending, delta descending), recording the permutation
-    and the tie groups (the runs of equal y); a block sorts each replication."""
+    and the tie groups (the runs of equal y); a block sorts each replication.
+
+    The permutation is ``np.lexsort((-delta, y), axis=-1)``'s.  It costs one
+    sort of y, plus, only when some tie group has two or more rows, one sort of
+    a key unique to each row: (group * 2 + 1 - delta) * n + row index.
+    """
     shape, n = sample.y.shape, sample.n
-    order = np.lexsort((-sample.delta, sample.y), axis=-1)
+    order = np.argsort(sample.y, axis=-1)
     # each sorted row's offset into the flattened (R * n) rows
-    rows = order + np.arange(0, sample.y.size, n).reshape(shape[:-1] + (1,))
+    offsets = np.arange(0, sample.y.size, n).reshape(shape[:-1] + (1,))
+    rows = order + offsets
     y = sample.y.ravel()[rows]
     starts = np.ones(shape, dtype=bool)
     starts[..., 1:] = y[..., 1:] != y[..., :-1]
     first = np.flatnonzero(starts)
     stop = np.append(first[1:], y.size)
     group = np.repeat(np.arange(first.shape[0]), stop - first).reshape(shape)
+    if first.shape[0] < y.size:
+        # a tie: order each group's rows by (delta descending, row index), which a
+        # sort of the unique key gives whatever order the first sort left them in
+        key = (group * 2 + 1 - sample.delta.ravel()[rows]) * n + order
+        order = np.sort(key, axis=-1) % n
+        rows = order + offsets
+        y = sample.y.ravel()[rows]
     for a in (order, group, first, stop):
         a.flags.writeable = False
     base = _adopt(

@@ -74,8 +74,8 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
 def _tail_terms(sorted_sample: SortedSample, floor: float) -> tuple:
     """Sample-only part of psi: each group's first and stop offsets into running sums
     that hold n + 1 entries per replication, each row's floored 1 - G(Y-), each
-    group's floored 1 - H, the floored count (per replication of a block), and per
-    row 1 - delta and the group whose gamma2 term the row adds."""
+    group's floored 1 - H, the floored count (per replication of a block) and whether
+    any is nonzero, and per row 1 - delta and the group whose gamma2 term the row adds."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
     group, first, stop = sorted_sample.group, sorted_sample.first, sorted_sample.stop
     rep = first // n  # each group's replication
@@ -91,7 +91,7 @@ def _tail_terms(sorted_sample: SortedSample, floor: float) -> tuple:
     # adds its group's term, any other row the top group's, which is zero
     adds = np.where(delta == 0, group, stop.shape[0] - 1)
     return (first + rep, stop + rep, np.maximum(denom_g, floor), np.maximum(surv_h, floor),
-            n_floored, 1.0 - delta, adds)
+            n_floored, bool(n_floored.any()), 1.0 - delta, adds)
 
 
 def compute_psi(
@@ -125,15 +125,18 @@ def compute_psi(
     floor = DENOM_FLOOR  # part of the key, so a changed floor builds its own terms
     group = sorted_sample.group
     tails = _memo(sorted_sample, ("psi", floor), lambda: _tail_terms(sorted_sample, floor))
-    at_first, at_stop, denom_g, denom_h, n_floored, censored, adds = tails
+    at_first, at_stop, denom_g, denom_h, n_floored, any_floored, censored, adds = tails
 
     # everything below is (p, rows) or (p, groups), with a block's replication axis
     # after p, so each pass runs along the long axis
     # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-))
-    c = np.moveaxis(x, -1, 0) * (delta * xi / denom_g)
+    xi *= delta
+    xi /= denom_g
+    c = np.moveaxis(x, -1, 0) * xi
 
     # y is sorted, so strict comparisons reduce to tie-group slices
-    csuf = np.zeros(c.shape[:-1] + (n + 1,))
+    csuf = np.empty(c.shape[:-1] + (n + 1,))
+    csuf[..., n] = 0.0
     np.cumsum(c[..., ::-1], axis=-1, out=csuf[..., n - 1 :: -1])  # csuf[..., i] = sum of c[..., i:]
     s_strict = np.take(csuf.reshape(p, -1), at_stop, 1)  # per group: sum of c over {m : Y_(m) > Y}
 
@@ -148,14 +151,15 @@ def compute_psi(
     gamma1 = s_strict  # s_strict is spent too: divide it in place
     gamma1 /= n * denom_h
 
-    n_floored = np.ravel(np.where(np.isfinite(beta).all(axis=-1), n_floored, 0))
-    for count in n_floored[n_floored > 0]:
-        warnings.warn(
-            f"{count} tail denominator(s) below {floor:g} floored; "
-            "variance estimates near the censoring tail are unreliable",
-            DegenerateTailWarning,
-            stacklevel=2,
-        )
+    if any_floored:
+        n_floored = np.ravel(np.where(np.isfinite(beta).all(axis=-1), n_floored, 0))
+        for count in n_floored[n_floored > 0]:
+            warnings.warn(
+                f"{count} tail denominator(s) below {floor:g} floored; "
+                "variance estimates near the censoring tail are unreliable",
+                DegenerateTailWarning,
+                stacklevel=2,
+            )
 
     # c + (1 - delta) gamma1 - gamma2, built in place
     psi = np.take(gamma1, group, 1)
@@ -196,7 +200,8 @@ def sandwich_ci(
     """
     design = build_weighted_design(sorted_sample, kw)
     z = normal_quantile(level)
-    alpha = np.divide(fit.alpha_w, design.sqrt_w, out=np.zeros(design.w.shape), where=design.w > 0)
+    # a zero-weight row's shift is zero, and a failed replication's stays NaN
+    alpha = fit.alpha_w / np.where(design.w > 0, design.sqrt_w, np.inf)
     # one contiguous (p, n) array per replication, so a replication's products
     # are the same whether or not it shares a block
     psi_t = np.ascontiguousarray(np.swapaxes(compute_psi(sorted_sample, fit.beta, alpha), -1, -2))

@@ -51,14 +51,15 @@ def soft_threshold_step(residual_w: np.ndarray, lam: float | np.ndarray) -> np.n
 
     Entries with |r| <= lam / 2 map to 0 (boundary inclusive); the rest
     shrink toward zero by lam / 2.  For a block, ``lam`` may hold one level
-    per replication (the leading axes of ``residual_w``).
+    per replication (the leading axes of ``residual_w``).  Raises ValueError
+    unless every level is positive and finite.
     """
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("lam must be positive")
+    if not np.all((lam > 0) & (lam < math.inf)):
+        raise ValueError("lam must be positive and finite")
     half = lam[..., None] / 2.0
     r = np.asarray(residual_w, dtype=float)
-    return r - np.clip(r, -half, half)
+    return r - np.minimum(np.maximum(r, -half), half)
 
 
 def _objective(design_resid: np.ndarray, aw: np.ndarray, lam) -> float:

@@ -37,10 +37,10 @@ from .wls import stute_fit
 
 ESTIMATORS = ("stute", "penalized", "two-step")
 SLOPE = 1  # index of the coefficient the study reports on
-# Rows per block: R = max(1, BLOCK_ELEMS // n) replications.  Sized for memory:
-# at n = 500 larger blocks raise the desk study's peak memory more than they
-# save time.
-BLOCK_ELEMS = 4096
+# Rows per block: R = max(1, BLOCK_ELEMS // n) replications.  Swept on the desk
+# study (n = 500): 6144 (R = 12) ran about 15% faster than 4096 (R = 8) for
+# 0.8 MB more peak memory; 8192 (R = 16) gained a few % more for 1.4 MB.
+BLOCK_ELEMS = 6144
 
 
 @dataclass(frozen=True)

@@ -58,20 +58,29 @@ class WeightedDesign:
         Does not raise: a singular Gram (see ``_singular``) gets an all-NaN
         inverse, so whatever a block computes from a singular replication is
         NaN, while a sample's caller raises through ``_require_regular``.  The
-        all-rows Gram is ``self.gram`` and its inverse is kept on the design.
+        all-rows Gram is ``self.gram``.  Each inverse is kept on the design, keyed
+        by its rows, so the two-step refit's inverse is also its sandwich's bread.
         """
         if keep is None or keep.all():
             return (self.gram, *_memo(self, ("inverse",), lambda: _invert(self.gram)))
-        xw = np.where(keep[..., None], self.xw, 0.0)
-        gram = np.swapaxes(xw, -1, -2) @ xw
-        return (gram, *_invert(gram))
+        return _memo(self, ("inverse", keep.tobytes()), lambda: _kept_inverse(self.xw, keep))
+
+
+def _kept_inverse(xw: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    xw = np.where(keep[..., None], xw, 0.0)
+    gram = np.swapaxes(xw, -1, -2) @ xw
+    gram.flags.writeable = False
+    return (gram, *_invert(gram))
 
 
 def _invert(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigs, vecs = np.linalg.eigh(gram)
     # dividing by NaN makes a singular Gram's inverse all NaN, without a warning
     scale = np.where(_singular(eigs)[..., None], np.nan, eigs)
-    return (vecs / scale[..., None, :]) @ np.swapaxes(vecs, -1, -2), eigs
+    inv = (vecs / scale[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    for a in (inv, eigs):  # kept on the design, so shared by every caller
+        a.flags.writeable = False
+    return inv, eigs
 
 
 def _singular(eigs: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustaft import SurvivalSample, data, load_csv, sort_sample, write_csv
 
@@ -80,6 +82,46 @@ class TestSort:
             assert np.array_equal(first[group], np.searchsorted(ys, ys, side="left"))
             assert np.array_equal(stop[group], np.searchsorted(ys, ys, side="right"))
             assert np.array_equal(ys[first], np.unique(ys))
+            assert np.array_equal(group, np.repeat(np.arange(first.size), stop - first))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["untied", "half-grid", "all-tied", "signed-zeros", "one-tied-rep"]),
+        st.integers(1, 4),
+        st.integers(2, 30),
+    )
+    def test_one_key_sort_is_lexsort(self, seed, kind, reps, n):
+        """``perm`` is ``lexsort((-delta, y))``'s, for a sample and for a block, and
+        the tie groups satisfy the searchsorted identities, whatever the ties."""
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(reps, n)) * 2.0
+        if kind == "half-grid":
+            y = np.round(y * 2.0) / 2.0
+        elif kind == "all-tied":
+            y[:] = 1.5
+        elif kind == "signed-zeros":
+            y = np.where(y > 1.0, np.round(y), np.where(rng.random((reps, n)) < 0.5, 0.0, -0.0))
+        elif kind == "one-tied-rep":
+            y[rng.integers(reps)] = np.round(y[0])
+        delta = (rng.random((reps, n)) < 0.6).astype(np.int64)
+        x = np.ones((reps, n, 1))
+        samples = [data._adopt(y=y, delta=delta, x=x)]
+        samples += [make_sample(y[r], delta[r]) for r in range(reps)]
+        for sample in samples:
+            ss = sort_sample(sample)
+            assert np.array_equal(ss.perm, np.lexsort((-sample.delta, sample.y), axis=-1))
+            ys = ss.base.y.ravel()
+            assert ys.tobytes() == np.take_along_axis(sample.y, ss.perm, -1).tobytes()
+            # a block's groups never span replications: search each replication's rows
+            group, first, stop = ss.group.ravel(), ss.first, ss.stop
+            rows = ys.reshape(-1, n)
+            offsets = np.arange(0, ys.size, n)
+            left = np.concatenate([np.searchsorted(r, r, side="left") for r in rows])
+            right = np.concatenate([np.searchsorted(r, r, side="right") for r in rows])
+            at = np.repeat(offsets, n)
+            assert np.array_equal(first[group], left + at)
+            assert np.array_equal(stop[group], right + at)
             assert np.array_equal(group, np.repeat(np.arange(first.size), stop - first))
 
     def test_idempotent(self):

@@ -235,6 +235,32 @@ class TestSandwichCi:
             alone.append(bits(sandwich_ci(fresh, km_weights(fresh), fit)))
         assert forward == backward == alone
 
+    def test_the_two_step_bread_is_the_refits_inverse(self, monkeypatch):
+        """After ``fit_two_step``, its sandwich makes no eigendecomposition and gives
+        the same bits as on a fresh design; another set of rows still makes one."""
+        raw = generate_sample(DgpConfig(n=400, mu=2.0, seed=_cell_seed(3, 0, 1)))
+        sample = SurvivalSample(y=np.round(raw.y, 1), delta=raw.delta, x=raw.x)
+        ss = sort_sample(sample)
+        kw = km_weights(ss)
+        two = fit_two_step(ss, kw, fit_penalized(ss, kw))
+        assert two.outliers.size > 0
+        fresh = sort_sample(sample)
+        want = sandwich_ci(fresh, km_weights(fresh), two)
+
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+        got = sandwich_ci(ss, kw, two)
+        assert calls == []
+        for name in ("sigma_x_hat", "sigma_hat", "cov_beta", "ci_lower", "ci_upper"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+        keep = two.alpha_w == 0.0
+        keep[np.flatnonzero(keep)[0]] = False
+        kw.inverse(keep)
+        kw.inverse(keep.copy())
+        assert calls == [(2, 2)]
+
     def test_stute_sandwich_is_pinned_to_the_bit_on_a_tied_sample(self):
         """n = 2000 with about 415 tie groups: enough rows that summing psi in
         another order would change the last bits."""

@@ -45,6 +45,12 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold_step(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, [0.5, np.nan, 0.5]])
+    def test_rejects_a_level_that_is_not_finite(self, lam):
+        """A NaN level would give all-NaN shifts and an infinite one all zeros."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            soft_threshold_step(np.ones((3, 4)), lam)
+
     @settings(deadline=None, max_examples=80)
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=20),
