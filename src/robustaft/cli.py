@@ -13,21 +13,13 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .data import load_csv, sort_sample
+from .data import _text, load_csv, sort_sample
 from .inference import normal_quantile, sandwich_ci
 from .km import km_weights
 from .penalized import PenalizedConfig, fit_penalized
 from .simulation import DESK_PROFILE, ESTIMATORS, PAPER_PROFILE, DgpConfig, _check_study, run_study
 from .two_step import DEFAULT_TAU0, _check_tau0, detect_outliers, fit_two_step
 from .wls import SingularGramError, stute_fit
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-def _text(value) -> str:
-    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def cmd_fit(args) -> int:
@@ -92,10 +84,10 @@ def _write_table(records, out) -> None:
             for key, value in fields.items():
                 print(f"{key:<12}{_text(value)}", file=out)
         elif record == "coefficient":
-            cells = "".join(f"{_fmt(v):<26}" for v in fields.values())
+            cells = "".join(f"{_text(v):<26}" for v in fields.values())
             print(f"{'x%d' % index:<6}{cells}", file=out)
         else:
-            print(f"  {index}  {_fmt(fields['alpha_w'])}", file=out)
+            print(f"  {index}  {_text(fields['alpha_w'])}", file=out)
 
 
 def _write_csv(records, out) -> None:

@@ -27,9 +27,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _per_sample(a):
-    """A sample's value as a Python float; a block's values, one per replication, as the array."""
-    return float(a) if np.ndim(a) == 0 else a
+def _per_sample(a: np.ndarray):
+    """A sample's value as a Python float; a block's values, one per replication, as
+    the fresh array ``a``, made read-only in place."""
+    if np.ndim(a) == 0:
+        return float(a)
+    a.flags.writeable = False
+    return a
+
+
+def _text(value) -> str:
+    """A value as every file and report writes it: a float as its shortest round-trip decimal."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _memo(obj, key: tuple, make):
@@ -243,12 +252,16 @@ def _read_header(reader, path) -> list[str]:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in header]
     p = len(header) - 2
-    expected = ["y", "delta"] + [f"x{k}" for k in range(1, p + 1)]
+    expected = _header(p)
     if p < 1 or header != expected:
         raise ValueError(
             f"{path}: header must be 'y,delta,x1,...,xp', got {','.join(header)!r}"
         )
     return expected
+
+
+def _header(p: int) -> list[str]:
+    return ["y", "delta"] + [f"x{k}" for k in range(1, p + 1)]
 
 
 def _scan(fh, path) -> SurvivalSample:
@@ -294,9 +307,6 @@ def write_csv(sample: SurvivalSample, path) -> None:
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["y", "delta"] + [f"x{k}" for k in range(1, sample.p + 1)])
+        writer.writerow(_header(sample.p))
         for i in range(sample.n):
-            writer.writerow(
-                [repr(float(sample.y[i])), int(sample.delta[i])]
-                + [repr(float(v)) for v in sample.x[i]]
-            )
+            writer.writerow(map(_text, (sample.y[i], sample.delta[i], *sample.x[i])))

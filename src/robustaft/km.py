@@ -4,8 +4,9 @@ The weights turn a right-censored least-squares problem into a weighted one:
 w_(i) is the jump of the Kaplan-Meier distribution estimator at the i-th
 order statistic, so censored observations get weight zero and the remaining
 mass is pushed to later uncensored observations.  ``km_weights`` returns the
-weights together with the sample's weighted least-squares problem, which every
-estimator then shares.
+weights together with the sample's square-root-weighted design, which every
+estimator then shares; the design (``wls.WeightedDesign``) derives its Gram
+matrices.
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ def km_weights(sorted_sample: SortedSample) -> WeightedDesign:
     sqrt_w = np.sqrt(w)
     xw = base.x * sqrt_w[..., None]
     yw = base.y * sqrt_w
-    gram = np.swapaxes(xw, -1, -2) @ xw
-    for a in (w, sqrt_w, xw, yw, gram):
+    for a in (w, sqrt_w, xw, yw):
         a.flags.writeable = False
     return WeightedDesign(
-        w=w, sqrt_w=sqrt_w, pi_uc_hat=_per_sample(delta.mean(axis=-1)), xw=xw, yw=yw, gram=gram
+        w=w, sqrt_w=sqrt_w, pi_uc_hat=_per_sample(delta.mean(axis=-1)), xw=xw, yw=yw
     )
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .data import SurvivalSample, _adopt, _check_entries, _check_size, sort_sample
+from .data import SurvivalSample, _adopt, _check_entries, _check_size, _text, sort_sample
 from .inference import _finite, sandwich_ci
 from .km import km_weights
 from .penalized import fit_penalized
@@ -106,22 +106,8 @@ class MonteCarloReport:
     def to_csv(self, file) -> None:
         """Write the report; runtime is deliberately excluded so output is seed-deterministic."""
         writer = csv.writer(file)
-        writer.writerow(
-            ["estimator", "mu", "pi_uc_hat", "bias", "variance", "mse", "coverage", "reps_used"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.estimator,
-                    repr(float(r.mu)),
-                    repr(float(r.pi_uc_hat)),
-                    repr(float(r.bias)),
-                    repr(float(r.variance)),
-                    repr(float(r.mse)),
-                    repr(float(r.coverage)),
-                    r.reps_used,
-                ]
-            )
+        writer.writerow([f.name for f in fields(ReportRow)])
+        writer.writerows(map(_text, astuple(r)) for r in self.rows)
 
 
 def generate_sample(cfg: DgpConfig) -> SurvivalSample:

@@ -3,12 +3,12 @@
 The weighted design has rows sqrt(w_(i)) * X_(i); solving least squares on it
 is the Kaplan-Meier-weighted regression (the Stute estimator when the target
 is the weighted outcome itself).  ``km.km_weights`` builds one design per
-sorted sample, and every fit and sandwich of that sample solves on it.  The
-p x p Gram matrix is inverted through its eigendecomposition, which also gives
-the singularity check, since p is small and fixed while n dominates.  A design
-may hold a block of replications (a leading axis on every array).  A singular
-Gram raises for a sample; in a block it makes only that replication's results
-NaN.
+sorted sample, and every fit and sandwich of that sample solves on it.  Every
+p x p Gram matrix, of all rows or of a subset, is formed here and inverted
+through its eigendecomposition, which also gives the singularity check, since
+p is small and fixed while n dominates.  A design may hold a block of
+replications (a leading axis on every array).  A singular Gram raises for a
+sample; in a block it makes only that replication's results NaN.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ class WeightedDesign:
 
     ``w`` holds the weights w_(i) in [0, 1], zero exactly where delta_(i) = 0;
     ``sqrt_w`` their square roots; ``pi_uc_hat`` the uncensored fraction
-    mean(delta).  ``xw`` has rows sqrt(w_(i)) X_(i), ``yw`` entries
-    sqrt(w_(i)) Y_(i), and ``gram`` is xw.T @ xw.  Rows with zero weight are
-    exactly zero.  Made by ``km.km_weights``, which freezes the arrays in place.
-    A block's design has a leading replication axis on every array, and
-    ``pi_uc_hat`` is then an array with one fraction per replication.
+    mean(delta).  ``xw`` has rows sqrt(w_(i)) X_(i) and ``yw`` entries
+    sqrt(w_(i)) Y_(i); rows with zero weight are exactly zero.  Every Gram
+    matrix comes from ``inverse``.  Made by ``km.km_weights``, which freezes the
+    arrays in place.  A block's design has a leading replication axis on every
+    array, and ``pi_uc_hat`` is then a read-only array with one fraction per
+    replication.
     """
 
     w: np.ndarray
@@ -49,7 +50,6 @@ class WeightedDesign:
     pi_uc_hat: float | np.ndarray
     xw: np.ndarray
     yw: np.ndarray
-    gram: np.ndarray
 
     def inverse(self, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The Gram matrix of the rows where ``keep`` is true (all rows if None), its
@@ -57,30 +57,27 @@ class WeightedDesign:
 
         Does not raise: a singular Gram (see ``_singular``) gets an all-NaN
         inverse, so whatever a block computes from a singular replication is
-        NaN, while a sample's caller raises through ``_require_regular``.  The
-        all-rows Gram is ``self.gram``.  Each inverse is kept on the design, keyed
-        by its rows, so the two-step refit's inverse is also its sandwich's bread.
+        NaN, while a sample's caller raises through ``_require_regular``.  Each
+        result is kept on the design, keyed by its rows (an all-true ``keep`` is
+        all rows), so the two-step refit's inverse is also its sandwich's bread.
         """
-        if keep is None or keep.all():
-            return (self.gram, *_memo(self, ("inverse",), lambda: _invert(self.gram)))
-        return _memo(self, ("inverse", keep.tobytes()), lambda: _kept_inverse(self.xw, keep))
+        if keep is not None and keep.all():
+            keep = None
+        key = ("inverse", None if keep is None else keep.tobytes())
+        return _memo(self, key, lambda: _gram_inverse(self.xw, keep))
 
 
-def _kept_inverse(xw: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xw = np.where(keep[..., None], xw, 0.0)
+def _gram_inverse(xw: np.ndarray, keep: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    if keep is not None:
+        xw = np.where(keep[..., None], xw, 0.0)
     gram = np.swapaxes(xw, -1, -2) @ xw
-    gram.flags.writeable = False
-    return (gram, *_invert(gram))
-
-
-def _invert(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigs, vecs = np.linalg.eigh(gram)
     # dividing by NaN makes a singular Gram's inverse all NaN, without a warning
     scale = np.where(_singular(eigs)[..., None], np.nan, eigs)
     inv = (vecs / scale[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    for a in (inv, eigs):  # kept on the design, so shared by every caller
+    for a in (gram, inv, eigs):  # kept on the design, so shared by every caller
         a.flags.writeable = False
-    return inv, eigs
+    return gram, inv, eigs
 
 
 def _singular(eigs: np.ndarray) -> np.ndarray:

@@ -202,6 +202,25 @@ class TestCsv:
         assert np.array_equal(s.y, loaded.y)
         assert np.array_equal(s.x, loaded.x)
 
+    def test_write_pins_the_text_of_each_number(self, tmp_path):
+        """Shortest round-trip text: the sign of zero, a subnormal, exponent form
+        from 1e16, and an integer-valued float keeps its ``.0``."""
+        s = SurvivalSample(
+            y=[-0.0, 5e-324, 1e16, 0.1, 3.0],
+            delta=[1, 0, 1, 1, 0],
+            x=[[1.0, -0.0], [1.0, 2.5e-310], [1.0, 1e16], [1.0, 0.1], [2.0, 7.0]],
+        )
+        path = tmp_path / "s.csv"
+        write_csv(s, path)
+        assert path.read_bytes() == (
+            b"y,delta,x1,x2\r\n"
+            b"-0.0,1,1.0,-0.0\r\n"
+            b"5e-324,0,1.0,2.5e-310\r\n"
+            b"1e+16,1,1.0,1e+16\r\n"
+            b"0.1,1,1.0,0.1\r\n"
+            b"3.0,0,2.0,7.0\r\n"
+        )
+
     def test_multi_line_record_names_the_file_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b'y,delta,x1\n"1\n",1,2\n2,1,zz\n')

@@ -162,6 +162,17 @@ class TestFitPenalized:
         assert np.allclose(block.objective_trace, total, rtol=1e-12, atol=0.0)
         assert np.all(np.diff(block.objective_trace) <= 1e-10)
 
+    def test_a_block_design_and_its_levels_are_read_only(self):
+        """A write to a block's uncensored fractions or levels would move later fits."""
+        block = _draw(DgpConfig(n=200, mu=2.0), [_cell_seed(5, 0, j) for j in range(3)])
+        ss, kw = prepare(block)
+        fit = fit_penalized(ss, kw)
+        for a in (kw.pi_uc_hat, fit.lam):
+            assert a.shape == (3,)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert np.array_equal(fit_penalized(ss, kw).lam, fit.lam)
+
 
 def test_gross_outliers_are_flagged_with_high_probability():
     hits = total = 0

@@ -12,7 +12,7 @@ from robustaft import (
     stute_fit,
     wls_solve,
 )
-from robustaft.simulation import _cell_seed
+from robustaft.simulation import _cell_seed, _draw
 from robustaft.wls import _singular
 from oracles import ols_lstsq
 
@@ -44,15 +44,15 @@ class TestWeightedDesign:
     def test_gram_of_constant_column_sums_weights(self):
         ss, kw = uncensored([1.0, 2.0, 3.0, 4.0], np.ones((4, 1)))
         d = build_weighted_design(ss, kw)
-        assert np.allclose(d.gram, [[1.0]], atol=1e-14)
+        assert np.allclose(d.inverse()[0], [[1.0]], atol=1e-14)
 
     def test_gram_matches_product(self):
         rng = np.random.default_rng(0)
         x = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
         ss, kw = sorted_with_weights(rng.normal(size=30), (rng.random(30) < 0.7).astype(int), x)
         d = build_weighted_design(ss, kw)
-        assert np.allclose(d.gram, d.xw.T @ d.xw, rtol=1e-10)
-        assert np.allclose(d.gram, d.gram.T, atol=0.0)
+        assert np.allclose(d.inverse()[0], d.xw.T @ d.xw, rtol=1e-10)
+        assert np.allclose(d.inverse()[0], d.inverse()[0].T, atol=0.0)
 
     def test_built_once_per_sample_and_weights(self):
         x = np.column_stack([np.ones(4), np.arange(4.0)])
@@ -62,12 +62,23 @@ class TestWeightedDesign:
         # weighting the sample again builds equal arrays
         other = km_weights(ss)
         assert other is not kw
-        for name in ("w", "sqrt_w", "xw", "yw", "gram"):
+        for name in ("w", "sqrt_w", "xw", "yw"):
             assert np.array_equal(getattr(other, name), getattr(kw, name))
         # a design of another sample is refused
         longer, _ = sorted_with_weights([1.0, 2.0, 3.0, 4.0, 5.0], [1] * 5, np.ones((5, 2)))
         with pytest.raises(ValueError, match="does not match"):
             build_weighted_design(longer, kw)
+
+    def test_all_rows_are_one_cached_inverse(self):
+        seeds = [_cell_seed(2, 0, j) for j in range(3)]
+        for sample in (generate_sample(DgpConfig(n=50, seed=seeds[0])), _draw(DgpConfig(n=50), seeds)):
+            design = km_weights(sort_sample(sample))
+            everything = design.inverse()
+            assert design.inverse(np.ones(design.w.shape, bool)) is everything
+            assert design.inverse() is everything
+            gram = everything[0]
+            assert np.array_equal(gram, np.swapaxes(design.xw, -1, -2) @ design.xw)
+            assert not gram.flags.writeable
 
 
 class TestWlsSolve:
@@ -121,7 +132,7 @@ class TestWlsSolve:
         x = np.column_stack([np.ones(10), np.full(10, 0.5)])
         _, kw = uncensored(np.arange(10.0), x)
         gram, inv, eigs = kw.inverse()
-        assert gram is kw.gram
+        assert gram is kw.inverse()[0]
         assert np.isnan(inv).all()
         assert _singular(eigs)
         message = r"^weighted Gram matrix is singular: smallest eigenvalue .* collinear after weighting$"
@@ -162,7 +173,7 @@ class TestStuteFit:
         ss = sort_sample(sample)
         d = build_weighted_design(ss, km_weights(ss))
         target = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-        assert np.linalg.norm(d.gram - target, ord=2) < 0.05
+        assert np.linalg.norm(d.inverse()[0] - target, ord=2) < 0.05
 
     def test_systematic_negative_bias_on_contaminated_design(self):
         # high-leverage negative shifts drag the slope down rep after rep
