@@ -18,18 +18,13 @@ from .inference import normal_quantile, sandwich_ci
 from .km import km_weights
 from .penalized import PenalizedConfig, fit_penalized
 from .simulation import DESK_PROFILE, ESTIMATORS, PAPER_PROFILE, DgpConfig, _check_study, run_study
-from .two_step import DEFAULT_TAU0, _check_tau0, detect_outliers, fit_two_step
+from .two_step import DEFAULT_TAU0, detect_outliers, fit_two_step
 from .wls import SingularGramError, stute_fit
 
 
 def cmd_fit(args) -> int:
-    _check_tau0(args.tau0)
     normal_quantile(args.ci_level)  # reject the level before reading the file
-    cfg = PenalizedConfig(
-        lambda0=args.lambda0,
-        max_iter=args.max_iter,
-        lambda_override=getattr(args, "lambda"),
-    )
+    cfg = PenalizedConfig(lambda_override=getattr(args, "lambda"))
     sample = load_csv(args.input)
     ss = sort_sample(sample)
     kw = km_weights(ss)
@@ -45,11 +40,11 @@ def cmd_fit(args) -> int:
         fit = stute_fit(ss, kw)
     else:
         pen = fit_penalized(ss, kw, cfg)
-        meta.update({"lambda": pen.lam, "iterations": pen.iterations, "tau0": args.tau0})
-        fit = pen if args.method == "penalized" else fit_two_step(ss, kw, pen, args.tau0)
+        meta.update({"lambda": pen.lam, "iterations": pen.iterations, "tau0": DEFAULT_TAU0})
+        fit = pen if args.method == "penalized" else fit_two_step(ss, kw, pen)
         # report 1-based original row order; users reason in file order
         outliers = sorted(
-            (int(ss.perm[i]) + 1, float(pen.alpha_w[i])) for i in detect_outliers(pen, args.tau0)
+            (int(ss.perm[i]) + 1, float(pen.alpha_w[i])) for i in detect_outliers(pen)
         )
 
     inf = sandwich_ci(ss, kw, fit, args.ci_level)
@@ -156,19 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
         "penalized CI undercovers more as n grows)",
     )
     fit.add_argument(
-        "--lambda0", type=float, default=PenalizedConfig.lambda0, help="penalty rule constant"
-    )
-    fit.add_argument(
         "--lambda",
         type=float,
         default=None,
-        help="explicit penalty level, bypassing the n**(lambda0 - pi_uc/2) rule",
-    )
-    fit.add_argument(
-        "--tau0", type=float, default=DEFAULT_TAU0, help="outlier detection threshold"
-    )
-    fit.add_argument(
-        "--max-iter", type=int, default=PenalizedConfig.max_iter, help="alternating cycles"
+        help="explicit penalty level, bypassing the n**(1e-4 - pi_uc/2) rule "
+        "(the outlier threshold stays 0.3)",
     )
     fit.add_argument("--ci-level", type=float, default=0.95, help="confidence level")
     fit.add_argument(

@@ -201,12 +201,13 @@ def load_csv(path) -> SurvivalSample:
       is read row by row with the csv module and ``float()``.  Every error
       about the file's text comes from this path.
 
-    Row numbers in error messages are 1-based file lines (the header is
+    The file is read as UTF-8; a leading byte-order mark is skipped on either
+    path.  Row numbers in error messages are 1-based file lines (the header is
     line 1); a record spanning several lines is named by the line it ends
     on.  Raises ValueError on any malformed content, including text the csv
     module cannot split into fields.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.seekable():
             table = _parse_bulk(fh, path)
             if table is not None:

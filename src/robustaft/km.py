@@ -11,12 +11,13 @@ matrices.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import SortedSample, _per_sample
 from .wls import WeightedDesign
+
+# The penalty rule's constant: n ** LAMBDA0 <= 1.002 for n <= 1e8, so it is fixed.
+LAMBDA0 = 1e-4
 
 
 def km_weights(sorted_sample: SortedSample) -> WeightedDesign:
@@ -56,22 +57,14 @@ def _product_limit(event: np.ndarray) -> np.ndarray:
     return np.cumprod(np.where(event, (n - 1 - idx) / (n - idx), 1.0), axis=-1)
 
 
-def lambda_rule(n: int, pi_uc_hat: float, lambda0: float) -> float:
-    """Penalty level n ** (lambda0 - pi_uc_hat / 2).
+def lambda_rule(n: int, pi_uc_hat: float) -> float:
+    """Penalty level n ** (LAMBDA0 - pi_uc_hat / 2).
 
-    Heavier censoring (smaller ``pi_uc_hat``) yields a larger penalty.
-    ``lambda0`` is a small positive constant; 1e-4 is the standard choice.
-    Raises ValueError when the level overflows a double.
+    Heavier censoring (smaller ``pi_uc_hat``) yields a larger penalty.  The
+    level is at most n ** LAMBDA0, so it cannot overflow.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not 0.0 <= pi_uc_hat <= 1.0:
         raise ValueError("pi_uc_hat must lie in [0, 1]")
-    if not 0 < lambda0 < math.inf:
-        raise ValueError("lambda0 must be positive and finite")
-    try:
-        return float(n) ** (lambda0 - pi_uc_hat / 2.0)
-    except OverflowError:
-        raise ValueError(
-            f"penalty level n ** (lambda0 - pi_uc_hat / 2) overflows for n={n}, lambda0={lambda0!r}"
-        ) from None
+    return float(n) ** (LAMBDA0 - pi_uc_hat / 2.0)

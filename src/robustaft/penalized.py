@@ -29,17 +29,16 @@ class PenalizedConfig:
     """Solver settings.
 
     The solver runs exactly ``max_iter`` cycles (10 by default); 10 leave a
-    median relative KKT violation of 0.4% (n = 1000, mu = 5).
-    ``lambda_override`` bypasses the n ** (lambda0 - pi_uc_hat / 2) rule.
+    median relative KKT violation of 0.4% (n = 1000, mu = 5).  The command
+    line and the study always run 10; more cycles approach the optimum.
+    ``lambda_override`` bypasses the rule n ** (1e-4 - pi_uc_hat / 2) of
+    ``km.lambda_rule``.
     """
 
-    lambda0: float = 1e-4
     max_iter: int = 10
     lambda_override: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.lambda0 < math.inf:
-            raise ValueError("lambda0 must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         if self.lambda_override is not None and not 0 < self.lambda_override < math.inf:
@@ -86,7 +85,7 @@ def fit_penalized(
     if cfg.lambda_override is not None:
         lam = cfg.lambda_override
     else:
-        levels = [lambda_rule(n, float(pi), cfg.lambda0) for pi in np.ravel(design.pi_uc_hat)]
+        levels = [lambda_rule(n, float(pi)) for pi in np.ravel(design.pi_uc_hat)]
         lam = _per_sample(np.reshape(levels, np.shape(design.pi_uc_hat)))
 
     aw = np.zeros(design.yw.shape)

@@ -188,11 +188,12 @@ def run_study(
     """Run the replication study over a censoring-intensity grid.
 
     Each mu's replications run in blocks of ``BLOCK_ELEMS // n`` (at least
-    one), each with the default penalized fit, the two-step refit at
-    ``DEFAULT_TAU0`` and 95% sandwich CIs for the slope.  A replication whose
-    covariance is not finite (a singular Gram matrix gives a NaN one) is
-    excluded from that estimator's row and counted in the report's
-    ``failures``; the study does not warn about it.
+    one), each with the penalized fit at the rule's level (10 cycles), the
+    two-step refit at the fixed threshold ``DEFAULT_TAU0`` and 95% sandwich
+    CIs for the slope.  A replication whose covariance is not finite (a
+    singular Gram matrix gives a NaN one) is excluded from that estimator's
+    row and counted in the report's ``failures``; the study does not warn
+    about it.
     """
     _check_study(reps, base_cfg)
     grid = [float(m) for m in grid]

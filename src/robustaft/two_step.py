@@ -1,9 +1,10 @@
 """Outlier screening and refit: the recommended estimator for finite samples.
 
-Observations whose penalized shift exceeds a threshold tau0 in absolute value
-are declared outliers and dropped; the Kaplan-Meier-weighted regression is
-then refit on the remaining rows.  The refit coefficients avoid the shrinkage
-bias the l1 penalty imposes on the first-step shifts.
+Observations whose scaled penalized shift exceeds the fixed threshold
+``DEFAULT_TAU0`` = 0.3 in absolute value are declared outliers and dropped;
+the Kaplan-Meier-weighted regression is then refit on the remaining rows.
+The refit coefficients avoid the shrinkage bias the l1 penalty imposes on the
+first-step shifts.
 """
 
 from __future__ import annotations
@@ -16,25 +17,14 @@ from .wls import Fit, WeightedDesign, _matvec, _require_regular, build_weighted_
 DEFAULT_TAU0 = 0.3
 
 
-def _check_tau0(tau0: float) -> None:
-    if not 0 <= tau0 < np.inf:
-        raise ValueError("tau0 must be nonnegative and finite")
+def detect_outliers(fit: Fit) -> np.ndarray:
+    """Sorted indices i with |alpha_w_(i)| > DEFAULT_TAU0 (strict), ascending;
+    for a block's fit, offsets into the flattened (R * n) rows."""
+    return np.flatnonzero(np.abs(fit.alpha_w) > DEFAULT_TAU0)
 
 
-def detect_outliers(fit: Fit, tau0: float = DEFAULT_TAU0) -> np.ndarray:
-    """Sorted indices i with |alpha_w_(i)| > tau0 (strict), ascending; for a
-    block's fit, offsets into the flattened (R * n) rows."""
-    _check_tau0(tau0)
-    return np.flatnonzero(np.abs(fit.alpha_w) > tau0)
-
-
-def fit_two_step(
-    sorted_sample: SortedSample,
-    kw: WeightedDesign,
-    fit: Fit,
-    tau0: float = DEFAULT_TAU0,
-) -> Fit:
-    """Refit the weighted regression on the rows not flagged at level tau0.
+def fit_two_step(sorted_sample: SortedSample, kw: WeightedDesign, fit: Fit) -> Fit:
+    """Refit the weighted regression on the rows that ``detect_outliers`` does not flag.
 
     Equivalent to the joint least-squares problem where shifts are free on
     the flagged set: those rows' residuals are absorbed exactly, so they drop
@@ -43,7 +33,7 @@ def fit_two_step(
     replication gets NaN coefficients instead.
     """
     design = build_weighted_design(sorted_sample, kw)
-    outliers = detect_outliers(fit, tau0)
+    outliers = detect_outliers(fit)
     keep = np.ones(design.yw.shape, dtype=bool)
     keep.flat[outliers] = False
     _, inv, eigs = design.inverse(keep)

@@ -26,8 +26,8 @@ GRAM_RTOL = 1e-12
 class SingularGramError(Exception):
     """Gram matrix of the weighted design is numerically singular.
 
-    Signals collinear covariates after weighting, or (for the screened refit)
-    too many rows removed.
+    Signals collinear covariates after weighting, too many rows removed (for
+    the screened refit), or no kept row with positive Kaplan-Meier weight.
     """
 
 
@@ -94,6 +94,11 @@ def _require_regular(eigs: np.ndarray, context: str = "") -> None:
     if eigs.ndim == 1 and _singular(eigs):
         low, high = eigs[[0, -1]]
         detail = f" ({context})" if context else ""
+        if high == 0.0:
+            raise SingularGramError(
+                f"weighted Gram matrix is zero{detail}: "
+                "no kept row has positive Kaplan-Meier weight"
+            )
         raise SingularGramError(
             f"weighted Gram matrix is singular{detail}: smallest eigenvalue "
             f"{low:.3e} <= {GRAM_RTOL:g} * largest {high:.3e}; "

@@ -299,6 +299,20 @@ class TestBulkParse:
         assert _outcome(lambda: load_csv(path)) == want
         assert bool(calls) == via_scan
 
+    @pytest.mark.parametrize("case", ["leading-plus", "quoted-number"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, case):
+        """A file saved with a UTF-8 byte-order mark loads to the same sample as
+        without it, on the bulk path and after the scan's rewind."""
+        text, via_scan = BULK_VS_SCAN[case]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("ascii"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("ascii"))
+        want = _outcome(lambda: load_csv(plain))
+        assert not isinstance(want, str), want
+        calls = self._spy_on_scan(monkeypatch)
+        assert _outcome(lambda: load_csv(marked)) == want
+        assert bool(calls) == via_scan
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_that_needs_the_scan(self, tmp_path):
         text = BULK_VS_SCAN["underscore"][0].encode("ascii")

@@ -91,23 +91,15 @@ def test_weight_identities_hold_for_any_pattern(bits):
 
 class TestLambdaRule:
     def test_n_one_is_always_one(self):
-        assert lambda_rule(1, 0.3, 1e-4) == 1.0
-        assert lambda_rule(1, 1.0, 2.5) == 1.0
+        assert lambda_rule(1, 0.3) == 1.0
+        assert lambda_rule(1, 1.0) == 1.0
 
     def test_closed_form_value(self):
         # 1000 ** (1e-4 - 0.875 / 2), frozen from extended-precision evaluation
-        assert lambda_rule(1000, 0.875, 1e-4) == pytest.approx(0.0487304026625, rel=1e-10)
+        assert lambda_rule(1000, 0.875) == pytest.approx(0.0487304026625, rel=1e-10)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            lambda_rule(0, 0.5, 1e-4)
-        with pytest.raises(ValueError):
-            lambda_rule(10, 1.5, 1e-4)
-        with pytest.raises(ValueError):
-            lambda_rule(10, 0.5, 0.0)
-        with pytest.raises(ValueError, match="lambda0 must be positive"):
-            lambda_rule(10, 0.5, float("nan"))
-        with pytest.raises(ValueError, match="lambda0 must be positive and finite"):
-            lambda_rule(10, 0.5, float("inf"))
-        with pytest.raises(ValueError, match="overflows"):
-            lambda_rule(10, 0.5, 1e308)
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            lambda_rule(0, 0.5)
+        with pytest.raises(ValueError, match=r"pi_uc_hat must lie in \[0, 1\]"):
+            lambda_rule(10, 1.5)

@@ -141,12 +141,10 @@ class TestFitPenalized:
 
     def test_config_defaults_and_validation(self):
         cfg = PenalizedConfig()
-        assert cfg.lambda0 == 1e-4 and cfg.max_iter == 10
+        assert cfg.max_iter == 10
         assert cfg.lambda_override is None
         with pytest.raises(ValueError):
             PenalizedConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            PenalizedConfig(lambda0=-1.0)
 
     def test_a_block_fits_each_replication_as_alone_and_traces_their_total(self):
         cfg = DgpConfig(n=200, mu=2.0)

@@ -31,32 +31,14 @@ def fake_fit(alpha_w):
 
 class TestDetect:
     def test_all_zero_gives_empty_set(self):
-        assert detect_outliers(fake_fit(np.zeros(5)), 0.3).size == 0
+        assert detect_outliers(fake_fit(np.zeros(5))).size == 0
 
     def test_strict_threshold(self):
-        flagged = detect_outliers(fake_fit([0.2, -0.5, 0.31]), 0.3)
+        tau0 = DEFAULT_TAU0
+        flagged = detect_outliers(fake_fit([tau0 - 0.1, -tau0 - 0.2, tau0 + 0.01]))
         assert np.array_equal(flagged, [1, 2])
         # exactly at the threshold is not flagged
-        assert np.array_equal(detect_outliers(fake_fit([0.3, -0.3]), 0.3), [])
-
-    def test_zero_threshold_gives_support(self):
-        fit = fake_fit([0.0, 1e-9, -0.2, 0.0])
-        assert np.array_equal(detect_outliers(fit, 0.0), [1, 2])
-
-    def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(31)
-        fit = fake_fit(rng.normal(size=50))
-        for lo, hi in [(0.0, 0.3), (0.3, 1.0), (0.1, 0.2)]:
-            bigger = set(detect_outliers(fit, lo).tolist())
-            smaller = set(detect_outliers(fit, hi).tolist())
-            assert smaller <= bigger
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            detect_outliers(fake_fit([0.1]), -0.1)
-        for tau0 in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="nonnegative and finite"):
-                detect_outliers(fake_fit([0.1]), tau0)
+        assert np.array_equal(detect_outliers(fake_fit([tau0, -tau0])), [])
 
 
 class TestFitTwoStep:
@@ -77,7 +59,7 @@ class TestFitTwoStep:
         rng = np.random.default_rng(36)
         ss, kw = prepare(random_instance(rng, n=40, p=2))
         stute = stute_fit(ss, kw)
-        pen = fit_penalized(ss, kw)
+        pen = fit_penalized(ss, kw, PenalizedConfig(lambda_override=1e16))
         counts = Counter()
 
         def count(module, name):
@@ -90,7 +72,7 @@ class TestFitTwoStep:
             monkeypatch.setattr(module, name, counted)
 
         count(np.linalg, "eigh")
-        fit = fit_two_step(ss, kw, pen, tau0=1e6)
+        fit = fit_two_step(ss, kw, pen)
         assert fit.outliers.size == 0
         assert counts == Counter()
         assert fit.beta.tobytes() == stute.beta.tobytes()
