@@ -7,15 +7,9 @@ replication harness.
 """
 
 from .data import SortedSample, SurvivalSample, load_csv, sort_sample, write_csv
-from .inference import (
-    DegenerateTailWarning,
-    InferenceResult,
-    censoring_km,
-    compute_psi,
-    sandwich_ci,
-)
+from .inference import InferenceResult, censoring_km, compute_psi, sandwich_ci
 from .km import km_weights, lambda_rule
-from .penalized import PenalizedConfig, fit_penalized, soft_threshold_step
+from .penalized import fit_penalized, soft_threshold_step
 from .simulation import (
     DESK_PROFILE,
     PAPER_PROFILE,
@@ -41,13 +35,11 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TAU0",
     "DESK_PROFILE",
-    "DegenerateTailWarning",
     "DgpConfig",
     "Fit",
     "InferenceResult",
     "MonteCarloReport",
     "PAPER_PROFILE",
-    "PenalizedConfig",
     "ReportRow",
     "SingularGramError",
     "SortedSample",

@@ -16,15 +16,21 @@ from contextlib import nullcontext
 from .data import _text, load_csv, sort_sample
 from .inference import normal_quantile, sandwich_ci
 from .km import km_weights
-from .penalized import PenalizedConfig, fit_penalized
+from .penalized import fit_penalized, soft_threshold_step
 from .simulation import DESK_PROFILE, ESTIMATORS, PAPER_PROFILE, DgpConfig, _check_study, run_study
 from .two_step import DEFAULT_TAU0, detect_outliers, fit_two_step
 from .wls import SingularGramError, stute_fit
 
 
 def cmd_fit(args) -> int:
-    normal_quantile(args.ci_level)  # reject the level before reading the file
-    cfg = PenalizedConfig(lambda_override=getattr(args, "lambda"))
+    # reject the confidence and penalty levels before reading the file
+    normal_quantile(args.ci_level)
+    lam = getattr(args, "lambda")
+    if lam is not None:
+        try:
+            soft_threshold_step([0.0], lam)
+        except ValueError:
+            raise ValueError("--lambda must be positive and finite") from None
     sample = load_csv(args.input)
     ss = sort_sample(sample)
     kw = km_weights(ss)
@@ -39,7 +45,7 @@ def cmd_fit(args) -> int:
     if args.method == "stute":
         fit = stute_fit(ss, kw)
     else:
-        pen = fit_penalized(ss, kw, cfg)
+        pen = fit_penalized(ss, kw, lam)
         meta.update({"lambda": pen.lam, "iterations": pen.iterations, "tau0": DEFAULT_TAU0})
         fit = pen if args.method == "penalized" else fit_two_step(ss, kw, pen)
         # report 1-based original row order; users reason in file order

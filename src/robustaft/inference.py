@@ -19,12 +19,12 @@ distribution G and two compensation sums:
 
 with H the empirical distribution of Y and xi the residuals of the fit under
 scrutiny.  With no censoring every correction vanishes and psi reduces to the
-classical least-squares influence terms.
+classical least-squares influence terms.  Every denominator that divides a
+nonzero sum is at least 1/n, so no tail is truncated (see ``DENOM_FLOOR``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -34,14 +34,12 @@ from .data import SortedSample, _frozen, _memo
 from .km import _product_limit
 from .wls import Fit, WeightedDesign, _matvec, _require_regular, build_weighted_design
 
-# Tail denominators 1 - G(t-) and 1 - H(t) are floored here; sufficient
-# follow-up keeps them away from zero asymptotically but finite samples may
-# not cooperate.
+# Floor of the tail denominators 1 - G(Y-) and 1 - H(Y).  1 - G(Y-) is never
+# below 1/n: it is read below a row's own tie group, at most n - 1 rows in.
+# 1 - H is at least 1/n on every group but a replication's top one, where it
+# is 0 and divides a sum over the rows above that group, which is exactly 0;
+# the floor makes that quotient 0 where 0/0 would be NaN.
 DENOM_FLOOR = 1e-10
-
-
-class DegenerateTailWarning(UserWarning):
-    """Some censoring-tail denominators were floored; treat results with care."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,6 @@ class InferenceResult:
     std_errors: np.ndarray
     ci_lower: np.ndarray
     ci_upper: np.ndarray
-    level: float
 
 
 def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
@@ -71,27 +68,23 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
     return _frozen(1.0 - survival[sorted_sample.stop - 1])
 
 
-def _tail_terms(sorted_sample: SortedSample, floor: float) -> tuple:
+def _tail_terms(sorted_sample: SortedSample) -> tuple:
     """Sample-only part of psi: each group's first and stop offsets into running sums
     that hold n + 1 entries per replication, each row's floored 1 - G(Y-), each
-    group's floored 1 - H, the floored count (per replication of a block) and whether
-    any is nonzero, and per row 1 - delta and the group whose gamma2 term the row adds."""
+    group's floored 1 - H, and per row 1 - delta and the group whose gamma2 term
+    the row adds."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
     group, first, stop = sorted_sample.group, sorted_sample.first, sorted_sample.stop
     rep = first // n  # each group's replication
     # G(Y-) of a row is G at the tie group below its own, and 0 in its replication's lowest group
     below = np.concatenate(([0.0], censoring_km(sorted_sample)[:-1]))
     denom_g = 1.0 - np.where(first == rep * n, 0.0, below)[group]
-    stop_in = stop - rep * n
-    surv_h = (n - stop_in) / n  # 1 - H(Y) on each group
-    # gamma2 uses the censored rows below the top group
-    floored_h = (delta == 0) & (stop_in[group] < n) & (surv_h[group] < floor)
-    n_floored = ((denom_g < floor) & (delta == 1)).sum(axis=-1) + floored_h.sum(axis=-1)
+    surv_h = (n - (stop - rep * n)) / n  # 1 - H(Y) on each group
     # gamma2 sums censored rows strictly below the evaluation point: a censored row
     # adds its group's term, any other row the top group's, which is zero
     adds = np.where(delta == 0, group, stop.shape[0] - 1)
-    return (first + rep, stop + rep, np.maximum(denom_g, floor), np.maximum(surv_h, floor),
-            n_floored, bool(n_floored.any()), 1.0 - delta, adds)
+    return (first + rep, stop + rep, np.maximum(denom_g, DENOM_FLOOR),
+            np.maximum(surv_h, DENOM_FLOOR), 1.0 - delta, adds)
 
 
 def compute_psi(
@@ -103,16 +96,14 @@ def compute_psi(
 
     ``alpha`` holds the per-observation shifts entering the residuals
     xi_(i) = Y_(i) - X_(i)' beta - alpha_(i); pass None for a fit without
-    shift parameters.  Emits DegenerateTailWarning when any used tail
-    denominator falls below DENOM_FLOOR (it is floored, not propagated); a
-    block warns once for each replication that floors one.  A replication
-    whose ``beta`` is not finite (a failed fit) does not warn.
+    shift parameters.  A replication whose ``beta`` is not finite (a failed
+    fit) gets NaN influence vectors.
 
     The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
 
     Per sample, computed by the first call and kept on the sorted sample: the
-    censoring KM fit and G(Y_(i)-), the floored 1 - G and 1 - H denominators
-    and the floored count (the tie groups come with the sorted sample).  Per
+    censoring KM fit and G(Y_(i)-) and the floored 1 - G and 1 - H
+    denominators (the tie groups come with the sorted sample).  Per
     fit, on every call: the summands c, two cumulative sums and the gathers
     from tie groups to rows.
     """
@@ -122,10 +113,9 @@ def compute_psi(
     if alpha is None:
         alpha = np.zeros(y.shape)
     xi = y - _matvec(x, beta) - np.asarray(alpha, dtype=float)
-    floor = DENOM_FLOOR  # part of the key, so a changed floor builds its own terms
     group = sorted_sample.group
-    tails = _memo(sorted_sample, ("psi", floor), lambda: _tail_terms(sorted_sample, floor))
-    at_first, at_stop, denom_g, denom_h, n_floored, any_floored, censored, adds = tails
+    tails = _memo(sorted_sample, ("psi",), lambda: _tail_terms(sorted_sample))
+    at_first, at_stop, denom_g, denom_h, censored, adds = tails
 
     # everything below is (p, rows) or (p, groups), with a block's replication axis
     # after p, so each pass runs along the long axis
@@ -151,16 +141,6 @@ def compute_psi(
     gamma1 = s_strict  # s_strict is spent too: divide it in place
     gamma1 /= n * denom_h
 
-    if any_floored:
-        n_floored = np.ravel(np.where(np.isfinite(beta).all(axis=-1), n_floored, 0))
-        for count in n_floored[n_floored > 0]:
-            warnings.warn(
-                f"{count} tail denominator(s) below {floor:g} floored; "
-                "variance estimates near the censoring tail are unreliable",
-                DegenerateTailWarning,
-                stacklevel=2,
-            )
-
     # c + (1 - delta) gamma1 - gamma2, built in place
     psi = np.take(gamma1, group, 1)
     psi *= censored
@@ -182,7 +162,8 @@ def sandwich_ci(
     fit: Fit,
     level: float = 0.95,
 ) -> InferenceResult:
-    """Sandwich covariance and normal CIs for a weighted, penalized or screened fit.
+    """Sandwich covariance and normal CIs at confidence ``level`` for a weighted,
+    penalized or screened fit.
 
     Sigma is the mean-centered empirical covariance of the influence vectors
     and SigmaX the Gram matrix of the weighted design over the rows whose
@@ -192,10 +173,11 @@ def sandwich_ci(
     unclamped rows for the penalized fit (the Huber bread of the l1
     mean-shift problem) and the unflagged rows for the two-step refit.
 
-    Raises SingularGramError when a sample's Gram matrix is singular, and
-    ValueError when its covariance is not finite (the influence vectors
-    overflow, as with outcomes near 1e200), rather than print NaN intervals.
-    A block raises neither: a replication that would has a NaN or infinite
+    Raises ValueError for a ``level`` outside (0, 1).  Raises
+    SingularGramError when a sample's Gram matrix is singular, and ValueError
+    when its covariance is not finite (the influence vectors overflow, as
+    with outcomes near 1e200), rather than print NaN intervals.  A block
+    raises neither: a replication that would has a NaN or infinite
     covariance, which ``_finite`` marks.
     """
     design = build_weighted_design(sorted_sample, kw)
@@ -230,7 +212,6 @@ def sandwich_ci(
         std_errors=std_errors,
         ci_lower=fit.beta - z * std_errors,
         ci_upper=fit.beta + z * std_errors,
-        level=float(level),
     )
     if cov_beta.ndim == 2 and not _finite(inf):
         raise ValueError(

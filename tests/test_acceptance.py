@@ -11,7 +11,6 @@ import numpy as np
 
 from robustaft import (
     DgpConfig,
-    PenalizedConfig,
     SurvivalSample,
     build_weighted_design,
     compute_psi,
@@ -23,6 +22,7 @@ from robustaft import (
     sort_sample,
     stute_fit,
 )
+import robustaft.penalized as penalized
 from robustaft.cli import main
 from robustaft.simulation import _cell_seed
 from oracles import km_jump_weights, l1_shift_objective_min, psi_double_loop, random_instance
@@ -59,16 +59,17 @@ def test_criterion_1_weight_identities():
     )
 
 
-def test_criterion_2_convex_solver_equivalence():
+def test_criterion_2_convex_solver_equivalence(monkeypatch):
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst_rel = 0.0
     worst_kkt = 0.0
+    monkeypatch.setattr(penalized, "CYCLES", 2000)
     for _ in range(50):
         sample = random_instance(rng)
         ss = sort_sample(sample)
         kw = km_weights(ss)
-        fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=2000))
+        fit = fit_penalized(ss, kw)
         d = build_weighted_design(ss, kw)
         oracle = l1_shift_objective_min(d.xw, d.yw, fit.lam)
         worst_rel = max(
@@ -113,7 +114,7 @@ def test_criterion_4_infinite_penalty_collapse():
         sample = random_instance(rng)
         ss = sort_sample(sample)
         kw = km_weights(ss)
-        fit = fit_penalized(ss, kw, PenalizedConfig(lambda_override=1e16))
+        fit = fit_penalized(ss, kw, lam=1e16)
         baseline = stute_fit(ss, kw)
         assert np.all(fit.alpha_w == 0.0)
         worst = max(worst, float(np.max(np.abs(fit.beta - baseline.beta))))
@@ -190,7 +191,7 @@ def test_criterion_9_variance_calibration():
     """
     plugins, estimates = [], []
     for rep in range(300):
-        cfg = DgpConfig(n=1000, mu=5.0, outlier_shift=0.0, seed=_cell_seed(7, 0, rep))
+        cfg = DgpConfig(n=1000, mu=5.0, outlier_cutoff=1.0, seed=_cell_seed(7, 0, rep))
         ss = sort_sample(generate_sample(cfg))
         kw = km_weights(ss)
         fit = fit_penalized(ss, kw)

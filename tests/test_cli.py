@@ -265,9 +265,9 @@ def test_zero_gram_exits_two_naming_the_weights(capsys, tmp_path, text, options,
         (["simulate", "--reps", "0"], "reps must be at least 2"),
         (["simulate", "--sample-size", "0"], "n must exceed p"),
         (["simulate", "--reps", "2", "--sample-size", "60", "--threads", "0"], "threads must be"),
-        (["fit", "{csv}", "--method", "penalized", "--lambda", "nan"], "lambda_override must be"),
+        (["fit", "{csv}", "--method", "penalized", "--lambda", "nan"], "--lambda must be"),
         (["fit", "{csv}", "--method", "penalized", "--lambda", "inf"], "must be positive and finite"),
-        (["fit", "{csv}", "--method", "stute", "--lambda", "-1"], "lambda_override must be"),
+        (["fit", "{csv}", "--method", "stute", "--lambda", "-1"], "--lambda must be"),
         # 7.1 PiB: more than any address space, so the allocation fails before a page is touched
         (["simulate", "--sample-size", "1000000000000000", "--reps", "2"], "Unable to allocate"),
         (["fit", "{csv}", "--ci-level", "2"], "level must lie strictly between 0 and 1"),
@@ -308,6 +308,17 @@ def test_bad_ci_level_fails_before_the_file_is_read(capsys, monkeypatch, uncenso
     rc, out, err = run_cli(capsys, ["fit", uncensored_csv[0], "--ci-level", "2"])
     assert (rc, out) == (1, "")
     assert err == "error: level must lie strictly between 0 and 1\n"
+
+
+@pytest.mark.parametrize("method", ["stute", "two-step"])
+def test_bad_lambda_fails_before_the_file_is_read(capsys, monkeypatch, uncensored_csv, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the file was read before --lambda was checked")
+
+    monkeypatch.setattr(cli_mod, "load_csv", refuse)
+    rc, out, err = run_cli(capsys, ["fit", uncensored_csv[0], "--method", method, "--lambda", "0"])
+    assert (rc, out) == (1, "")
+    assert err == "error: --lambda must be positive and finite\n"
 
 
 def test_the_command_line_imports_no_scipy():

@@ -2,12 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import robustaft.inference as inference_mod
 from robustaft import (
-    DegenerateTailWarning,
     DgpConfig,
-    PenalizedConfig,
     SurvivalSample,
     build_weighted_design,
     censoring_km,
@@ -20,6 +19,8 @@ from robustaft import (
     sort_sample,
     stute_fit,
 )
+from robustaft.data import _adopt
+from robustaft.inference import _tail_terms
 from robustaft.simulation import _cell_seed
 from oracles import psi_double_loop, random_instance
 
@@ -120,26 +121,45 @@ class TestComputePsi:
             oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
             assert np.max(np.abs(ours - oracle)) < 1e-12
 
-    def test_floor_warning_fires_when_tail_degenerates(self, monkeypatch):
-        ss, _ = prepare([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
-        warm, _ = prepare([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
-        compute_psi(warm, np.zeros(1))  # keeps the sample-only terms for the default floor
-        # raise the floor so realistic denominators trip it
-        monkeypatch.setattr(inference_mod, "DENOM_FLOOR", 0.9)
-        for sample in (ss, warm):
-            with pytest.warns(DegenerateTailWarning):
-                compute_psi(sample, np.zeros(1))
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_every_used_tail_denominator_is_at_least_one_over_n(self, data):
+        """The denominators psi divides by, 1 - G(Y-) on every row and 1 - H on
+        every censored row below its replication's top group, are at least 1/n,
+        so ``DENOM_FLOOR`` = 1e-10 only turns the top group's 0/0 into 0: heavy
+        ties, all but one row censored, samples and blocks."""
+        reps, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 40))
 
-    def test_a_failed_fit_does_not_warn(self, monkeypatch):
-        """The floor trips on this sample: a finite beta warns, and a NaN beta (a
-        fit that failed) is silent, as a sample fitted alone raises before psi."""
-        monkeypatch.setattr(inference_mod, "DENOM_FLOOR", 0.05)
-        # the censored second-highest of 40 rows has 1 - H = 1/40
+        def rows(values):
+            return np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                               min_size=reps, max_size=reps)))
+
+        # 1 to n + 1 distinct outcomes: heavy ties at the low end
+        y = rows(st.integers(0, data.draw(st.integers(0, n)))).astype(float)
+        if data.draw(st.booleans()):  # all but one row censored
+            delta = np.zeros((reps, n), dtype=np.int64)
+            delta[np.arange(reps), rows(st.integers(0, n - 1))[:, 0]] = 1
+        else:
+            delta = rows(st.integers(0, 1)).astype(np.int64)
+        x = np.ones((reps, n, 1))
+        if reps == 1:
+            ss = sort_sample(SurvivalSample(y=y[0], delta=delta[0], x=x[0]))
+        else:
+            ss = sort_sample(_adopt(y, delta, x))
+        _, _, denom_g, denom_h, _, _ = _tail_terms(ss)
+        group, censored = ss.group.ravel(), ss.base.delta.ravel() == 0
+        below_top = (ss.stop % n != 0)[group]
+        bound = (1.0 - 1e-12) / n
+        assert np.all(denom_g >= bound)
+        assert np.all(denom_h[group[censored & below_top]] >= bound)
+        assert np.isfinite(compute_psi(ss, np.zeros(1))).all()
+
+    def test_a_failed_fit_does_not_warn(self):
+        """A NaN beta (a fit that failed) gives NaN influence vectors, silently,
+        as a sample fitted alone raises before psi."""
         ss, _ = prepare(np.arange(40.0), (np.arange(40) != 38).astype(int))
-        with pytest.warns(DegenerateTailWarning):
-            compute_psi(ss, np.zeros(1))
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DegenerateTailWarning)
+            warnings.simplefilter("error")
             psi = compute_psi(ss, np.full(1, np.nan))
         assert np.isnan(psi).all()
 
@@ -147,10 +167,8 @@ class TestComputePsi:
         rng = np.random.default_rng(44)
         sample = random_instance(rng, n=30)
         ss = sort_sample(sample)
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("error", DegenerateTailWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             compute_psi(ss, np.zeros(sample.p))
 
 
@@ -292,7 +310,7 @@ def test_plugin_variance_calibrated_for_screened_fit():
     tracks the Monte Carlo variance of the estimate."""
     plugins, estimates = [], []
     for rep in range(300):
-        cfg = DgpConfig(n=1000, mu=5.0, outlier_shift=0.0, seed=_cell_seed(7, 0, rep))
+        cfg = DgpConfig(n=1000, mu=5.0, outlier_cutoff=1.0, seed=_cell_seed(7, 0, rep))
         ss = sort_sample(generate_sample(cfg))
         kw = km_weights(ss)
         fit = stute_fit(ss, kw)
@@ -300,7 +318,7 @@ def test_plugin_variance_calibrated_for_screened_fit():
         plugins.append(inf.cov_beta[1, 1])
         estimates.append(fit.beta[1])
         if rep < 10:
-            pen = fit_penalized(ss, kw, PenalizedConfig())
+            pen = fit_penalized(ss, kw)
             two = fit_two_step(ss, kw, pen)
             assert two.outliers.size == 0
             assert np.array_equal(two.beta, fit.beta)

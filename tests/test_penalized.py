@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from robustaft import (
     DgpConfig,
-    PenalizedConfig,
     SurvivalSample,
     build_weighted_design,
     fit_penalized,
@@ -18,6 +17,7 @@ from robustaft import (
     stute_fit,
     wls_solve,
 )
+import robustaft.penalized as penalized
 from robustaft.simulation import _cell_seed, _draw
 from oracles import l1_shift_objective_min, random_instance
 
@@ -70,7 +70,7 @@ class TestFitPenalized:
         rng = np.random.default_rng(21)
         sample = random_instance(rng, n=40, p=2)
         ss, kw = prepare(sample)
-        fit = fit_penalized(ss, kw, PenalizedConfig(lambda_override=1e16))
+        fit = fit_penalized(ss, kw, lam=1e16)
         assert np.all(fit.alpha_w == 0.0)
         assert np.allclose(fit.beta, stute_fit(ss, kw).beta, atol=1e-10)
 
@@ -84,11 +84,12 @@ class TestFitPenalized:
         assert np.allclose(fit.beta, beta, atol=1e-10)
         assert np.all(fit.alpha_w == 0.0)
 
-    def test_objective_matches_proximal_oracle(self):
+    def test_objective_matches_proximal_oracle(self, monkeypatch):
+        monkeypatch.setattr(penalized, "CYCLES", 2000)
         rng = np.random.default_rng(23)
         sample = random_instance(rng, n=30, p=1, censored=False)
         ss, kw = prepare(sample)
-        fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=2000))
+        fit = fit_penalized(ss, kw)
         d = build_weighted_design(ss, kw)
         oracle = l1_shift_objective_min(d.xw, d.yw, fit.lam)
         assert fit.objective_trace[-1] == pytest.approx(oracle, rel=1e-6)
@@ -100,11 +101,12 @@ class TestFitPenalized:
             fit = fit_penalized(ss, kw)
             assert np.all(np.diff(fit.objective_trace) <= 1e-10)
 
-    def test_kkt_certificate_at_convergence(self):
+    def test_kkt_certificate_at_convergence(self, monkeypatch):
+        monkeypatch.setattr(penalized, "CYCLES", 1000)
         rng = np.random.default_rng(25)
         for _ in range(10):
             ss, kw = prepare(random_instance(rng))
-            fit = fit_penalized(ss, kw, PenalizedConfig(max_iter=1000))
+            fit = fit_penalized(ss, kw)
             d = build_weighted_design(ss, kw)
             resid = d.yw - d.xw @ fit.beta - fit.alpha_w
             active = fit.alpha_w != 0.0
@@ -120,7 +122,7 @@ class TestFitPenalized:
         delta = np.ones(30, dtype=int)
         delta[rng.choice(30, size=8, replace=False)] = 0
         ss, kw = prepare(SurvivalSample(y=y, delta=delta, x=x))
-        fit = fit_penalized(ss, kw, PenalizedConfig(lambda_override=1e-6))
+        fit = fit_penalized(ss, kw, lam=1e-6)
         zero_w = kw.w == 0.0
         assert np.all(fit.alpha_w[zero_w] == 0.0)
 
@@ -140,11 +142,14 @@ class TestFitPenalized:
         assert fit.lam == pytest.approx(35.0 ** (1e-4 - kw.pi_uc_hat / 2.0), rel=1e-14)
 
     def test_config_defaults_and_validation(self):
-        cfg = PenalizedConfig()
-        assert cfg.max_iter == 10
-        assert cfg.lambda_override is None
-        with pytest.raises(ValueError):
-            PenalizedConfig(max_iter=0)
+        """10 cycles, and an explicit level is checked by ``soft_threshold_step``."""
+        ss, kw = prepare(random_instance(np.random.default_rng(28), n=30, p=2))
+        fit = fit_penalized(ss, kw)
+        assert penalized.CYCLES == fit.iterations == 10
+        assert fit.objective_trace.shape == (11,)
+        for lam in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                fit_penalized(ss, kw, lam)
 
     def test_a_block_fits_each_replication_as_alone_and_traces_their_total(self):
         cfg = DgpConfig(n=200, mu=2.0)

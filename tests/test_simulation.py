@@ -12,7 +12,6 @@ import robustaft.simulation as simulation
 from robustaft import (
     DESK_PROFILE,
     PAPER_PROFILE,
-    DegenerateTailWarning,
     DgpConfig,
     SingularGramError,
     SurvivalSample,
@@ -62,10 +61,6 @@ class TestGenerate:
         lo = generate_sample(DgpConfig(n=20000, mu=2.0, seed=8))
         assert 0.98 <= hi.delta.mean() <= 1.0
         assert 0.60 <= lo.delta.mean() <= 0.68
-
-    def test_rejects_wrong_beta_length(self):
-        with pytest.raises(ValueError):
-            generate_sample(DgpConfig(n=100, beta=(1.0, 1.0, 1.0)))
 
 
 class TestCellSeeds:
@@ -210,8 +205,7 @@ def _replications():
     add(x2, np.minimum(t, c), (t <= c).astype(np.int64))
     # a constant covariate: singular full Gram
     add(np.full(N_ROWS, 0.5), 1.5 + rng.normal(size=N_ROWS), ones)
-    # the rows off x2 = 0 are all outliers: singular refit Gram; the censored
-    # second-highest row floors 1 - H
+    # the rows off x2 = 0 are all outliers: singular refit Gram
     x2 = np.select([idx < 3, idx < 6], [1.0, 2.0], 0.0)
     t = 1 + x2 + 0.3 * rng.normal(size=N_ROWS)
     t[:3] -= 30.0
@@ -254,19 +248,9 @@ def _fit_alone(y, delta, x, true_slope):
     return results
 
 
-def _floor_warnings(record) -> list[str]:
-    return sorted(str(w.message) for w in record if issubclass(w.category, DegenerateTailWarning))
-
-
-def test_a_block_matches_its_samples_fitted_one_at_a_time(monkeypatch):
-    # a floor this high trips on realistic tails, so some replications warn
-    monkeypatch.setattr(inference_mod, "DENOM_FLOOR", 0.05)
+def test_a_block_matches_its_samples_fitted_one_at_a_time():
     reps = _replications()
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        alone = [_fit_alone(*rep, 1.0) for rep in reps]
-    want_warnings = _floor_warnings(record)
-    assert want_warnings  # some (replication, estimator) pairs floor a denominator
+    alone = [_fit_alone(*rep, 1.0) for rep in reps]
 
     # the cases happen as labelled
     assert [[alone[r][name] is not None for name in ESTIMATORS] for r in range(6)] == [
@@ -278,13 +262,9 @@ def test_a_block_matches_its_samples_fitted_one_at_a_time(monkeypatch):
         [True, True, True],
     ]
     for cuts in ([0, 6], [0, 4, 6], [0, 1, 2, 3, 4, 5, 6]):  # one block; ragged; blocks of one
-        got_warnings = []
         for lo, hi in zip(cuts, cuts[1:]):
             block = _adopt(*(np.stack([rep[k] for rep in reps[lo:hi]]) for k in range(3)))
-            with warnings.catch_warnings(record=True) as record:
-                warnings.simplefilter("always")
-                got = simulation._run_block(block, 1.0)
-            got_warnings += _floor_warnings(record)
+            got = simulation._run_block(block, 1.0)
             for r in range(hi - lo):
                 want = alone[lo + r]
                 assert got["pi_uc"][r] == want["pi_uc"]
@@ -293,7 +273,6 @@ def test_a_block_matches_its_samples_fitted_one_at_a_time(monkeypatch):
                     assert ok == (want[name] is not None), (lo + r, name)
                     if ok:
                         assert (slope, covered) == want[name], (lo + r, name)
-        assert sorted(got_warnings) == want_warnings
 
 
 def test_a_block_is_sorted_weighted_and_fitted_once(monkeypatch):
@@ -316,9 +295,7 @@ def test_a_block_is_sorted_weighted_and_fitted_once(monkeypatch):
         count(simulation, name)
     reps = _replications()
     block = _adopt(*(np.stack([rep[k] for rep in reps]) for k in range(3)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the 1e200 case overflows the objective
-        results = simulation._run_block(block, 1.0)
+    results = simulation._run_block(block, 1.0)
     assert not results["stute"][2][1]  # the singular full Gram counts for no estimator
     assert counts == {
         "sort_sample": 1, "km_weights": 1, "eigh": 3, "stute_fit": 1, "fit_penalized": 1,

@@ -6,7 +6,6 @@ import pytest
 from robustaft import (
     DEFAULT_TAU0,
     Fit,
-    PenalizedConfig,
     SingularGramError,
     SurvivalSample,
     build_weighted_design,
@@ -49,7 +48,7 @@ class TestFitTwoStep:
         rng = np.random.default_rng(32)
         sample = random_instance(rng, n=40, p=2, outliers=False)
         ss, kw = prepare(sample)
-        pen = fit_penalized(ss, kw, PenalizedConfig(lambda_override=1e16))
+        pen = fit_penalized(ss, kw, lam=1e16)
         fit = fit_two_step(ss, kw, pen)
         assert fit.outliers.size == 0
         assert np.array_equal(fit.beta, stute_fit(ss, kw).beta)
@@ -59,7 +58,7 @@ class TestFitTwoStep:
         rng = np.random.default_rng(36)
         ss, kw = prepare(random_instance(rng, n=40, p=2))
         stute = stute_fit(ss, kw)
-        pen = fit_penalized(ss, kw, PenalizedConfig(lambda_override=1e16))
+        pen = fit_penalized(ss, kw, lam=1e16)
         counts = Counter()
 
         def count(module, name):

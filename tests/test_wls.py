@@ -12,7 +12,7 @@ from robustaft import (
     stute_fit,
     wls_solve,
 )
-from robustaft.simulation import _cell_seed, _draw
+from robustaft.simulation import BETA, _cell_seed, _draw
 from robustaft.wls import _singular
 from oracles import ols_lstsq
 
@@ -181,7 +181,7 @@ class TestStuteFit:
         for rep in range(200):
             cfg = DgpConfig(n=1000, mu=5.0, seed=_cell_seed(13, 0, rep))
             ss = sort_sample(generate_sample(cfg))
-            errors.append(stute_fit(ss, km_weights(ss)).beta[1] - cfg.beta[1])
+            errors.append(stute_fit(ss, km_weights(ss)).beta[1] - BETA[1])
         errors = np.array(errors)
         assert errors.mean() < -0.3
         assert np.mean(errors < 0.0) >= 0.9
