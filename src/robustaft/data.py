@@ -141,25 +141,31 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
     # each sorted row's offset into the flattened (R * n) rows
     offsets = np.arange(0, sample.y.size, n).reshape(shape[:-1] + (1,))
     rows = order + offsets
-    y = sample.y.ravel()[rows]
+    y = np.take(sample.y, rows)
     starts = np.ones(shape, dtype=bool)
     starts[..., 1:] = y[..., 1:] != y[..., :-1]
     first = np.flatnonzero(starts)
     stop = np.append(first[1:], y.size)
-    group = np.repeat(np.arange(first.shape[0]), stop - first).reshape(shape)
+    group = np.cumsum(starts, axis=None).reshape(shape)
+    group -= 1
     if first.shape[0] < y.size:
         # a tie: order each group's rows by (delta descending, row index), which a
         # sort of the unique key gives whatever order the first sort left them in
-        key = (group * 2 + 1 - sample.delta.ravel()[rows]) * n + order
-        order = np.sort(key, axis=-1) % n
+        key = group * 2 + 1
+        key -= np.take(sample.delta, rows)
+        key *= n
+        key += order
+        key.sort(axis=-1)
+        order = np.remainder(key, n, out=key)
         rows = order + offsets
-        y = sample.y.ravel()[rows]
+        y = np.take(sample.y, rows)
     for a in (order, group, first, stop):
         a.flags.writeable = False
+    # np.take copies whole rows; fancy indexing gathers x element by element
     base = _adopt(
         y=y,
-        delta=sample.delta.ravel()[rows],
-        x=sample.x.reshape(-1, sample.p)[rows],
+        delta=np.take(sample.delta, rows),
+        x=np.take(sample.x.reshape(-1, sample.p), rows, axis=0),
     )
     return SortedSample(base=base, perm=order, group=group, first=first, stop=stop)
 

@@ -69,21 +69,32 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
 
 
 def _tail_terms(sorted_sample: SortedSample) -> tuple:
-    """Sample-only part of psi: each group's first and stop offsets into running sums
-    that hold n + 1 entries per replication, each row's floored 1 - G(Y-), each
-    group's floored 1 - H, and per row 1 - delta and the group whose gamma2 term
-    the row adds."""
+    """Sample-only part of psi: each group's offsets into the gamma2 prefix sums and
+    into the suffix sums, both held n + 1 entries per replication; each row's floored
+    1 - G(Y-), +inf on censored rows so that dividing by it also multiplies by delta;
+    each group's floored 1 - H; per row 1 - delta; and per replication the groups whose
+    gamma2 terms the prefix sums add, in row order, padded with the top group."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
     group, first, stop = sorted_sample.group, sorted_sample.first, sorted_sample.stop
     rep = first // n  # each group's replication
     # G(Y-) of a row is G at the tie group below its own, and 0 in its replication's lowest group
     below = np.concatenate(([0.0], censoring_km(sorted_sample)[:-1]))
-    denom_g = 1.0 - np.where(first == rep * n, 0.0, below)[group]
+    denom_g = np.maximum(1.0 - np.where(first == rep * n, 0.0, below)[group], DENOM_FLOOR)
+    denom_g[delta == 0] = np.inf
     surv_h = (n - (stop - rep * n)) / n  # 1 - H(Y) on each group
-    # gamma2 sums censored rows strictly below the evaluation point: a censored row
-    # adds its group's term, any other row the top group's, which is zero
-    adds = np.where(delta == 0, group, stop.shape[0] - 1)
-    return (first + rep, stop + rep, np.maximum(denom_g, DENOM_FLOOR),
+    # gamma2 sums the terms of the censored rows strictly below the evaluation point.
+    # The prefix sums add those rows' terms and, for each replication's first
+    # uncensored row, the top group's, which is +0.0: the same additions in the same
+    # order as a sum over every row (+0.0 for each uncensored one), since only the
+    # first +0.0 can change a bit, turning -0.0 into +0.0
+    top = stop.shape[0] - 1
+    row_adds = np.where(delta == 0, group, top).reshape(-1, n)
+    picked = ((delta == 0) | (np.cumsum(delta, axis=-1) == 1)).reshape(-1, n)
+    count = np.cumsum(picked, axis=-1)  # rows picked at or below each row
+    adds = np.full((picked.shape[0], count[:, -1].max()), top)
+    adds[np.arange(adds.shape[1]) < count[:, -1:]] = row_adds[picked]
+    picked_below = np.take(count, first) - np.take(picked, first)
+    return (picked_below + rep * (n + 1), stop + rep, denom_g,
             np.maximum(surv_h, DENOM_FLOOR), 1.0 - delta, adds)
 
 
@@ -108,21 +119,22 @@ def compute_psi(
     from tie groups to rows.
     """
     base = sorted_sample.base
-    y, delta, x = base.y, base.delta, base.x
+    y, x = base.y, base.x
     n, p = base.n, base.p
-    if alpha is None:
-        alpha = np.zeros(y.shape)
-    xi = y - _matvec(x, beta) - np.asarray(alpha, dtype=float)
     group = sorted_sample.group
     tails = _memo(sorted_sample, ("psi",), lambda: _tail_terms(sorted_sample))
     at_first, at_stop, denom_g, denom_h, censored, adds = tails
 
     # everything below is (p, rows) or (p, groups), with a block's replication axis
     # after p, so each pass runs along the long axis
-    # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-))
-    xi *= delta
+    # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-)), built in place
+    xi = _matvec(x, beta)
+    np.subtract(y, xi, out=xi)
+    if alpha is not None:
+        xi -= np.asarray(alpha, dtype=float)
     xi /= denom_g
     c = np.moveaxis(x, -1, 0) * xi
+    del xi
 
     # y is sorted, so strict comparisons reduce to tie-group slices
     csuf = np.empty(c.shape[:-1] + (n + 1,))
@@ -130,10 +142,12 @@ def compute_psi(
     np.cumsum(c[..., ::-1], axis=-1, out=csuf[..., n - 1 :: -1])  # csuf[..., i] = sum of c[..., i:]
     s_strict = np.take(csuf.reshape(p, -1), at_stop, 1)  # per group: sum of c over {m : Y_(m) > Y}
 
-    terms = np.take(s_strict / denom_h**2, adds, 1)
-    dpre = csuf  # the suffix sums are spent: reuse their buffer for the prefix sums
+    terms = np.take(s_strict / denom_h**2, adds, 1).reshape(csuf.shape[:-1] + adds.shape[-1:])
+    # the suffix sums are spent: reuse their buffer for the prefix sums, whose entries
+    # past a replication's own picked rows are never read
+    dpre = csuf
     dpre[..., 0] = 0.0
-    np.cumsum(terms, axis=-1, out=dpre[..., 1:])
+    np.cumsum(terms, axis=-1, out=dpre[..., 1 : terms.shape[-1] + 1])
     del terms
     gamma2 = np.take(dpre.reshape(p, -1), at_first, 1)
     gamma2 /= n**2
@@ -141,10 +155,12 @@ def compute_psi(
     gamma1 = s_strict  # s_strict is spent too: divide it in place
     gamma1 /= n * denom_h
 
-    # c + (1 - delta) gamma1 - gamma2, built in place
-    psi = np.take(gamma1, group, 1)
-    psi *= censored
-    psi += c
+    # (1 - delta) gamma1 + c - gamma2, built in c's buffer
+    psi = c
+    gathered = np.take(gamma1, group, 1)
+    gathered *= censored
+    psi += gathered
+    del gathered
     psi -= np.take(gamma2, group, 1)
     return np.moveaxis(psi, 0, -1)
 
@@ -183,7 +199,9 @@ def sandwich_ci(
     design = build_weighted_design(sorted_sample, kw)
     z = normal_quantile(level)
     # a zero-weight row's shift is zero, and a failed replication's stays NaN
-    alpha = fit.alpha_w / np.where(design.w > 0, design.sqrt_w, np.inf)
+    alpha = None
+    if fit.alpha_w.any():
+        alpha = fit.alpha_w / np.where(design.w > 0, design.sqrt_w, np.inf)
     # one contiguous (p, n) array per replication, so a replication's products
     # are the same whether or not it shares a block
     psi_t = np.ascontiguousarray(np.swapaxes(compute_psi(sorted_sample, fit.beta, alpha), -1, -2))

@@ -38,7 +38,9 @@ def soft_threshold_step(residual_w: np.ndarray, lam: float | np.ndarray) -> np.n
         raise ValueError("lam must be positive and finite")
     half = lam[..., None] / 2.0
     r = np.asarray(residual_w, dtype=float)
-    return r - np.minimum(np.maximum(r, -half), half)
+    clipped = np.maximum(r, -half)
+    np.minimum(clipped, half, out=clipped)
+    return np.subtract(r, clipped, out=clipped)
 
 
 def _objective(design_resid: np.ndarray, aw: np.ndarray, lam) -> float:

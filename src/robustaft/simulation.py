@@ -126,11 +126,13 @@ def _draw(cfg: DgpConfig, seeds) -> SurvivalSample:
     _check_size(cfg.n, len(BETA))
     n = cfg.n
     x2, noise, censor = (np.empty((len(seeds), n)) for _ in range(3))
+    # uniform(0, 1) is random() and normal(mu, 1) is mu + standard_normal(), to the bit
     for r, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        x2[r] = rng.uniform(0.0, 1.0, n)
-        noise[r] = rng.standard_normal(n)
-        censor[r] = rng.normal(cfg.mu, 1.0, n)
+        rng.random(out=x2[r])
+        rng.standard_normal(out=noise[r])
+        rng.standard_normal(out=censor[r])
+    censor += cfg.mu
     shift = np.where(x2 >= cfg.outlier_cutoff, -20.0, 0.0)
     x = np.stack([np.ones_like(x2), x2], axis=-1)
     t = x @ np.asarray(BETA) + shift + noise

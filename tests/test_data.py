@@ -124,6 +124,39 @@ class TestSort:
             assert np.array_equal(stop[group], right + at)
             assert np.array_equal(group, np.repeat(np.arange(first.size), stop - first))
 
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("reps", [None, 3])
+    def test_gathers_match_fancy_indexing(self, p, tied, reps):
+        """``base`` holds y[perm], delta[perm] and x[perm] to the bit, for a sample and
+        a block, in fresh C-contiguous read-only arrays, and ``group`` numbers the
+        tie groups in row order."""
+        n = 60
+        shape = (n,) if reps is None else (reps, n)
+        rng = np.random.default_rng(p + 2 * tied + 4 * (reps is None))
+        y = rng.normal(size=shape)
+        if tied:
+            y = np.round(y * 2.0) / 2.0
+        delta = (rng.random(shape) < 0.6).astype(np.int64)
+        x = rng.normal(size=shape + (p,))
+        if reps is None:
+            sample = SurvivalSample(y=y, delta=delta, x=x)
+        else:
+            sample = data._adopt(y=y, delta=delta, x=x)
+        ss = sort_sample(sample)
+        rows = ss.perm + np.arange(0, y.size, n).reshape(shape[:-1] + (1,))
+        want = (sample.y.ravel()[rows], sample.delta.ravel()[rows], sample.x.reshape(-1, p)[rows])
+        for got, ref in zip((ss.base.y, ss.base.delta, ss.base.x), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        x_sorted = ss.base.x
+        assert x_sorted.flags.c_contiguous and x_sorted.flags.owndata
+        assert not x_sorted.flags.writeable
+        first, stop = ss.first, ss.stop
+        labels = np.repeat(np.arange(first.size), stop - first).reshape(shape)
+        assert ss.group.dtype == labels.dtype and np.array_equal(ss.group, labels)
+        assert first.size < y.size if tied else first.size == y.size
+
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         s = make_sample(rng.normal(size=20), (rng.random(20) < 0.6).astype(int))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -150,7 +151,12 @@ class TestComputePsi:
         group, censored = ss.group.ravel(), ss.base.delta.ravel() == 0
         below_top = (ss.stop % n != 0)[group]
         bound = (1.0 - 1e-12) / n
-        assert np.all(denom_g >= bound)
+        # 1 - G(Y-) on every row: G of the group below, 0 in a replication's lowest group
+        g_left = np.where(ss.first % n == 0, 0.0, np.concatenate(([0.0], censoring_km(ss)[:-1])))
+        surv_g = 1.0 - g_left[group]
+        assert np.all(surv_g >= bound)
+        # psi divides by it on uncensored rows; +inf on censored rows multiplies by delta
+        assert np.array_equal(denom_g.ravel(), np.where(censored, np.inf, np.maximum(surv_g, 1e-10)))
         assert np.all(denom_h[group[censored & below_top]] >= bound)
         assert np.isfinite(compute_psi(ss, np.zeros(1))).all()
 
@@ -173,6 +179,24 @@ class TestComputePsi:
 
 
 class TestSandwichCi:
+    def test_penalized_sandwich_peaks_below_three_and_a_half_n_row_arrays(self):
+        """With the tail terms and the bread already cached, the penalized fit's
+        sandwich holds at most 3.5 (p, n) float arrays at its peak, on a tied n = 2e4
+        sample: each n-row temporary is dropped once it is spent."""
+        raw = generate_sample(DgpConfig(n=20_000, mu=2.0, seed=3))
+        sample = SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x)
+        ss = sort_sample(sample)
+        kw = km_weights(ss)
+        pen = fit_penalized(ss, kw)
+        sandwich_ci(ss, kw, pen)
+        tracemalloc.start()
+        try:
+            sandwich_ci(ss, kw, pen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * sample.p * sample.n * 8
+
     def test_constant_design_collapses_to_mean_case(self):
         rng = np.random.default_rng(45)
         y = rng.normal(size=40)
