@@ -190,50 +190,46 @@ _BULK_ALPHABET = b"0123456789eE+-., \t\r\n"
 def load_csv(path) -> SurvivalSample:
     """Read a sample from a CSV file with header ``y,delta,x1,...,xp``.
 
-    The csv module reads and checks the header.  The body then takes one of
-    two paths, both ending in the same ``SurvivalSample`` constructor (whose
-    n > p check applies to either):
+    The file is read once, whether it is a regular file or a pipe.  The csv
+    module reads and checks the header; the rest of the file is then taken as
+    UTF-8 bytes, and the body takes one of two paths over those bytes, both
+    giving an (n, p + 2) table for the same ``SurvivalSample`` constructor
+    (whose n > p check applies to either):
 
-    - **Bulk:** one ``np.loadtxt`` pass over the rest of the file, taken only
-      when the file can be rewound, the body is ASCII drawn from the digits,
-      ``eE+-.,``, space, tab, CR and LF, no LF-separated line reaches
-      ``csv.field_size_limit()`` (``loadtxt`` has no such limit), and the
-      parsed table has p + 2 columns, at least one row, finite entries and
-      every delta 0 or 1.  On that alphabet ``loadtxt`` rejects any CR not
-      followed by LF, skips only empty lines and converts with the same
-      correctly rounded routine as ``float()``.
+    - **Bulk:** one ``np.loadtxt`` pass, taken only when the body is drawn from
+      the digits, ``eE+-.,``, space, tab, CR and LF, no LF-separated line
+      reaches ``csv.field_size_limit()`` (``loadtxt`` has no such limit), and
+      the parsed table has p + 2 columns, finite entries and every delta 0 or
+      1.  On that alphabet ``loadtxt`` rejects any CR not followed by LF, skips
+      only empty lines and converts with the same correctly rounded routine as
+      ``float()``.
     - **Scan:** anything else (``nan``, ``inf``, ``1_0``, quoted fields, other
-      whitespace, non-ASCII digits, long fields, malformed rows) rewinds and
-      is read row by row with the csv module and ``float()``.  Every error
-      about the file's text comes from this path.
+      whitespace, non-ASCII digits, long fields, malformed rows) is read row by
+      row with the csv module and ``float()``.  Every error about the body's
+      text comes from this path.
 
-    The file is read as UTF-8; a leading byte-order mark is skipped on either
-    path.  Row numbers in error messages are 1-based file lines (the header is
-    line 1); a record spanning several lines is named by the line it ends
-    on.  Raises ValueError on any malformed content, including text the csv
-    module cannot split into fields.
+    A leading byte-order mark is skipped.  Row numbers in error messages are
+    1-based file lines (the header is line 1); a record spanning several lines
+    is named by the line it ends on.  Raises ValueError on any malformed
+    content, including text the csv module cannot split into fields.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        if fh.seekable():
-            table = _parse_bulk(fh, path)
-            if table is not None:
-                return SurvivalSample(y=table[:, 0], delta=table[:, 1], x=table[:, 2:])
-            fh.seek(0)
-        return _scan(fh, path)
+        reader = csv.reader(fh)
+        try:
+            names = _read_header(reader, path)
+        except csv.Error as err:
+            raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+        raw = fh.read().encode()
+    table = _parse_bulk(raw, len(names))
+    if table is None:
+        table = _scan(raw, names, path, reader.line_num)
+    return SurvivalSample(y=table[:, 0], delta=table[:, 1], x=table[:, 2:])
 
 
-def _parse_bulk(fh, path) -> np.ndarray | None:
-    """The body as an (n, p + 2) table, or None when it needs the scan."""
-    try:
-        width = len(_read_header(csv.reader(fh), path))
-        body = fh.read()
-    except (csv.Error, ValueError):
-        return None
+def _parse_bulk(raw: bytes, width: int) -> np.ndarray | None:
+    """The body ``raw`` as an (n, width) table, or None when it needs the scan."""
     # A blank body makes loadtxt warn; the scan reports it as "no data rows".
-    if not body or body.isspace() or not body.isascii():
-        return None
-    raw = body.encode("ascii")
-    if raw.translate(None, _BULK_ALPHABET):
+    if not raw or raw.isspace() or raw.translate(None, _BULK_ALPHABET):
         return None
     # Each gap between LFs is a line's length plus one; fall back when a line
     # reaches the csv field size limit, which loadtxt does not enforce.
@@ -244,7 +240,7 @@ def _parse_bulk(fh, path) -> np.ndarray | None:
         table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:
         return None
-    if table.shape[0] < 1 or table.shape[1] != width:
+    if table.shape[1] != width:
         return None
     delta = table[:, 1]
     if not (((delta == 0.0) | (delta == 1.0)).all() and np.isfinite(table).all()):
@@ -271,21 +267,21 @@ def _header(p: int) -> list[str]:
     return ["y", "delta"] + [f"x{k}" for k in range(1, p + 1)]
 
 
-def _scan(fh, path) -> SurvivalSample:
-    """Read the CSV text stream ``fh`` row by row with the csv module and ``float()``."""
-    reader = csv.reader(fh)
+def _scan(body: bytes, names: list[str], path, skipped: int) -> np.ndarray:
+    """The body row by row with the csv module and ``float()``, as an (n, p + 2)
+    table; ``skipped`` is the number of file lines the header took."""
+    # a bytes-backed stream holds the body at one byte per character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline=""))
+    rows = []
     try:
-        expected = _read_header(reader, path)
-        p = len(expected) - 2
-        ys, deltas, rows = [], [], []
         for row in reader:
             if not row:
                 continue
-            lineno = reader.line_num
-            if len(row) != p + 2:
-                raise ValueError(f"{path}: row {lineno}: expected {p + 2} fields, got {len(row)}")
+            lineno = skipped + reader.line_num
+            if len(row) != len(names):
+                raise ValueError(f"{path}: row {lineno}: expected {len(names)} fields, got {len(row)}")
             vals = []
-            for col, (name, text) in enumerate(zip(expected, row), start=1):
+            for col, (name, text) in enumerate(zip(names, row), start=1):
                 try:
                     vals.append(float(text))
                 except ValueError:
@@ -296,14 +292,12 @@ def _scan(fh, path) -> SurvivalSample:
                 raise ValueError(f"{path}: row {lineno}: delta must be 0 or 1, got {row[1].strip()}")
             if not all(map(math.isfinite, vals)):
                 raise ValueError(f"{path}: row {lineno}: non-finite entry")
-            ys.append(vals[0])
-            deltas.append(int(vals[1]))
-            rows.append(vals[2:])
+            rows.append(vals)
     except csv.Error as err:
-        raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
-    if not ys:
+        raise ValueError(f"{path}: line {skipped + reader.line_num}: {err}") from None
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return SurvivalSample(y=np.array(ys), delta=np.array(deltas), x=np.array(rows))
+    return np.array(rows)
 
 
 def write_csv(sample: SurvivalSample, path) -> None:

@@ -427,3 +427,14 @@ class TestSimulate:
         lines = out.strip().splitlines()
         assert lines[0].startswith("estimator,")
         assert len(lines) == 1 + 3 * 4  # three estimators, four grid points
+
+    def test_estimator_rows_that_lost_every_replication_are_nan(self, capsys):
+        rc, out, err = run_cli(capsys, ["simulate", "--sample-size", "3", "--reps", "2", "--seed", "5"])
+        assert rc == 0
+        assert err == (
+            "warning: 7 replication(s) hit a singular Gram matrix or a non-finite "
+            "covariance and were excluded\n"
+        )
+        lost = [line.split(",") for line in out.splitlines() if line.split(",")[1] == "2.0"]
+        assert [row[0] for row in lost] == ["stute", "penalized", "two-step"]
+        assert all(row[3:] == ["nan"] * 4 + ["0"] for row in lost)

@@ -33,6 +33,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             SurvivalSample(y=np.array([1.0, 2.0]), delta=np.array([1, 1]), x=np.ones((2, 0)))
 
+    @pytest.mark.parametrize(
+        "y, delta, x, message",
+        [
+            (np.ones((3, 1)), np.ones(3, int), np.ones((3, 1)), "y must be a 1-d vector"),
+            (np.ones(3), np.ones(3, int), np.ones(3), "x must be a 2-d matrix"),
+            (np.ones(3), np.ones(2, int), np.ones((3, 1)), "y, delta and x must have matching lengths"),
+            (np.ones(3), np.ones(3, int), np.ones((2, 1)), "y, delta and x must have matching lengths"),
+        ],
+    )
+    def test_rejects_misshapen_arrays(self, y, delta, x, message):
+        with pytest.raises(ValueError) as err:
+            SurvivalSample(y=y, delta=delta, x=x)
+        assert str(err.value) == message
+
     def test_arrays_are_immutable(self):
         s = make_sample([1.0, 2.0, 3.0], [1, 0, 1])
         with pytest.raises(ValueError):
@@ -269,6 +283,28 @@ class TestCsv:
             with pytest.raises(ValueError, match="no data rows"):
                 load_csv(path)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_empty_file_or_pipe_says_so(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"")
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        try:
+            for source in (path, f"/dev/fd/{read_end}"):
+                with pytest.raises(ValueError) as err:
+                    load_csv(source)
+                assert str(err.value) == f"{source}: empty file"
+        finally:
+            os.close(read_end)
+
+    def test_rows_wider_than_the_header_fail_in_the_scan(self, tmp_path):
+        """Every row has 4 fields: the bulk table is too wide, and the scan names the first row."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"y,delta,x1\n1,1,2,3\n2,0,3,4\n3,1,5,6\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: row 2: expected 3 fields, got 4"
+
 
 def _outcome(load):
     """A loaded sample as (dtype, shape, bytes) per array, or the error message."""
@@ -311,13 +347,20 @@ class TestBulkParse:
     """``load_csv``'s bulk path gives the row scan's bits or the row scan's message."""
 
     @staticmethod
+    def _scan_outcome(monkeypatch, path):
+        """``load_csv`` with the bulk parse switched off: the header check and the row scan alone."""
+        with monkeypatch.context() as m:
+            m.setattr(data, "_parse_bulk", lambda raw, width: None)
+            return _outcome(lambda: load_csv(path))
+
+    @staticmethod
     def _spy_on_scan(monkeypatch):
         calls = []
         scan = data._scan
 
-        def spy(fh, path):
+        def spy(body, names, path, skipped):
             calls.append(path)
-            return scan(fh, path)
+            return scan(body, names, path, skipped)
 
         monkeypatch.setattr(data, "_scan", spy)
         return calls
@@ -326,8 +369,7 @@ class TestBulkParse:
     def test_matches_the_row_scan(self, tmp_path, monkeypatch, text, via_scan):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("ascii"))
-        with open(path, newline="") as fh:
-            want = _outcome(lambda: data._scan(fh, path))
+        want = self._scan_outcome(monkeypatch, path)
         calls = self._spy_on_scan(monkeypatch)
         assert _outcome(lambda: load_csv(path)) == want
         assert bool(calls) == via_scan
@@ -335,7 +377,7 @@ class TestBulkParse:
     @pytest.mark.parametrize("case", ["leading-plus", "quoted-number"])
     def test_a_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, case):
         """A file saved with a UTF-8 byte-order mark loads to the same sample as
-        without it, on the bulk path and after the scan's rewind."""
+        without it, on the bulk path and on the scan."""
         text, via_scan = BULK_VS_SCAN[case]
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_bytes(text.encode("ascii"))
@@ -360,6 +402,31 @@ class TestBulkParse:
             os.close(read_end)
         assert got == _outcome(lambda: load_csv(path))
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_clean_pipe_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        n = 300
+        s = SurvivalSample(
+            y=rng.normal(size=n),
+            delta=(rng.random(n) < 0.6).astype(int),
+            x=np.column_stack([np.ones(n), rng.normal(size=n)]),
+        )
+        path = tmp_path / "d.csv"
+        write_csv(s, path)
+        text = path.read_bytes()
+        assert len(text) < 16_384  # fits the pipe buffer, so one thread can write it all first
+        want = _outcome(lambda: load_csv(path))
+        calls = self._spy_on_scan(monkeypatch)
+        read_end, write_end = os.pipe()
+        os.write(write_end, text)
+        os.close(write_end)
+        try:
+            got = _outcome(lambda: load_csv(f"/dev/fd/{read_end}"))
+        finally:
+            os.close(read_end)
+        assert got == want == _outcome(lambda: s)
+        assert calls == []
+
     def test_keeps_the_sign_of_zero(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(BULK_VS_SCAN["negative-zero"][0].encode("ascii"))
@@ -376,8 +443,7 @@ class TestBulkParse:
         )
         path = tmp_path / "d.csv"
         write_csv(s, path)
-        with open(path, newline="") as fh:
-            want = _outcome(lambda: data._scan(fh, path))
+        want = self._scan_outcome(monkeypatch, path)
         assert want == _outcome(lambda: s)
         calls = self._spy_on_scan(monkeypatch)
         assert _outcome(lambda: load_csv(path)) == want

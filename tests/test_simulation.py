@@ -95,6 +95,20 @@ class TestRunStudy:
         run_study(**kwargs).to_csv(buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
 
+    def test_estimator_that_lost_every_replication_reports_nan(self):
+        # at n = 3 no mu = 2.0 replication gives any estimator a finite covariance
+        report = run_study([2.0], reps=2, base_cfg=DgpConfig(n=3, seed=5))
+        assert report.failures == 6
+        assert [r.estimator for r in report.rows] == ["stute", "penalized", "two-step"]
+        for r in report.rows:
+            assert r.reps_used == 0
+            assert all(np.isnan(v) for v in (r.bias, r.variance, r.mse, r.coverage))
+        buf = io.StringIO()
+        report.to_csv(buf)
+        rows = buf.getvalue().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.split(",")[3:] == ["nan"] * 4 + ["0"] for row in rows)
+
     def test_row_lookup(self):
         report = run_study([3.0], reps=2, base_cfg=DgpConfig(n=60, seed=4))
         assert report.row("stute", 3.0).estimator == "stute"
