@@ -211,15 +211,19 @@ def load_csv(path) -> SurvivalSample:
     A leading byte-order mark is skipped.  Row numbers in error messages are
     1-based file lines (the header is line 1); a record spanning several lines
     is named by the line it ends on.  Raises ValueError on any malformed
-    content, including text the csv module cannot split into fields.
+    content, including text the csv module cannot split into fields and a byte
+    that is not UTF-8 (read as a lone surrogate, which ``encode`` rejects).
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             names = _read_header(reader, path)
+            raw = fh.read().encode()
         except csv.Error as err:
             raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
-        raw = fh.read().encode()
+        except UnicodeEncodeError as err:
+            line = reader.line_num + 1 + err.object.count("\n", 0, err.start)
+            raise ValueError(f"{path}: line {line}: not UTF-8") from None
     table = _parse_bulk(raw, len(names))
     if table is None:
         table = _scan(raw, names, path, reader.line_num)
@@ -257,9 +261,10 @@ def _read_header(reader, path) -> list[str]:
     p = len(header) - 2
     expected = _header(p)
     if p < 1 or header != expected:
-        raise ValueError(
-            f"{path}: header must be 'y,delta,x1,...,xp', got {','.join(header)!r}"
-        )
+        got = ",".join(header)
+        if any("\udc80" <= c <= "\udcff" for c in got):  # a byte that is not UTF-8, escaped
+            raise ValueError(f"{path}: line {reader.line_num}: not UTF-8")
+        raise ValueError(f"{path}: header must be 'y,delta,x1,...,xp', got {got!r}")
     return expected
 
 

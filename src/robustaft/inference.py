@@ -20,7 +20,7 @@ distribution G and two compensation sums:
 with H the empirical distribution of Y and xi the residuals of the fit under
 scrutiny.  With no censoring every correction vanishes and psi reduces to the
 classical least-squares influence terms.  Every denominator that divides a
-nonzero sum is at least 1/n, so no tail is truncated (see ``DENOM_FLOOR``).
+nonzero sum is at least 1/n, and 1 - H is +inf on a top tie group (no row above).
 """
 
 from __future__ import annotations
@@ -32,14 +32,7 @@ import numpy as np
 
 from .data import SortedSample, _frozen, _memo
 from .km import _product_limit
-from .wls import Fit, WeightedDesign, _matvec, _require_regular, build_weighted_design
-
-# Floor of the tail denominators 1 - G(Y-) and 1 - H(Y).  1 - G(Y-) is never
-# below 1/n: it is read below a row's own tie group, at most n - 1 rows in.
-# 1 - H is at least 1/n on every group but a replication's top one, where it
-# is 0 and divides a sum over the rows above that group, which is exactly 0;
-# the floor makes that quotient 0 where 0/0 would be NaN.
-DENOM_FLOOR = 1e-10
+from .wls import Fit, WeightedDesign, _checked_inverse, _matvec, build_weighted_design
 
 
 @dataclass(frozen=True)
@@ -70,17 +63,16 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
 
 def _tail_terms(sorted_sample: SortedSample) -> tuple:
     """Sample-only part of psi: each group's offsets into the gamma2 prefix sums and
-    into the suffix sums, both held n + 1 entries per replication; each row's floored
-    1 - G(Y-), +inf on censored rows so that dividing by it also multiplies by delta;
-    each group's floored 1 - H; per row 1 - delta; and per replication the groups whose
-    gamma2 terms the prefix sums add, in row order, padded with the top group."""
+    into the suffix sums, both held n + 1 entries per replication; each row's 1 - G(Y-),
+    +inf on censored rows so that dividing by it also multiplies by delta; each group's
+    1 - H, +inf on a replication's top group; per row 1 - delta; and per replication the
+    groups whose gamma2 terms the prefix sums add, in row order, padded with the top group."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
     group, first, stop = sorted_sample.group, sorted_sample.first, sorted_sample.stop
     rep = first // n  # each group's replication
     # G(Y-) of a row is G at the tie group below its own, and 0 in its replication's lowest group
     below = np.concatenate(([0.0], censoring_km(sorted_sample)[:-1]))
-    denom_g = np.maximum(1.0 - np.where(first == rep * n, 0.0, below)[group], DENOM_FLOOR)
-    denom_g[delta == 0] = np.inf
+    denom_g = np.where(delta == 0, np.inf, 1.0 - np.where(first == rep * n, 0.0, below)[group])
     surv_h = (n - (stop - rep * n)) / n  # 1 - H(Y) on each group
     # gamma2 sums the terms of the censored rows strictly below the evaluation point.
     # The prefix sums add those rows' terms and, for each replication's first
@@ -94,8 +86,10 @@ def _tail_terms(sorted_sample: SortedSample) -> tuple:
     adds = np.full((picked.shape[0], count[:, -1].max()), top)
     adds[np.arange(adds.shape[1]) < count[:, -1:]] = row_adds[picked]
     picked_below = np.take(count, first) - np.take(picked, first)
-    return (picked_below + rep * (n + 1), stop + rep, denom_g,
-            np.maximum(surv_h, DENOM_FLOOR), 1.0 - delta, adds)
+    # +inf on the top group, whose suffix sum is +0.0.  Made last: made before the
+    # adds table, it raised fit-csv's peak RSS by 1.5 MB (glibc reuses freed blocks)
+    denom_h = np.where(surv_h > 0.0, surv_h, np.inf)
+    return picked_below + rep * (n + 1), stop + rep, denom_g, denom_h, 1.0 - delta, adds
 
 
 def compute_psi(
@@ -113,10 +107,9 @@ def compute_psi(
     The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
 
     Per sample, computed by the first call and kept on the sorted sample: the
-    censoring KM fit and G(Y_(i)-) and the floored 1 - G and 1 - H
-    denominators (the tie groups come with the sorted sample).  Per
-    fit, on every call: the summands c, two cumulative sums and the gathers
-    from tie groups to rows.
+    censoring KM fit and G(Y_(i)-) and the 1 - G and 1 - H denominators
+    (the tie groups come with the sorted sample).  Per fit, on every call: the
+    summands c, two cumulative sums and the gathers from tie groups to rows.
     """
     base = sorted_sample.base
     y, x = base.y, base.x
@@ -216,9 +209,8 @@ def sandwich_ci(
         sigma_hat = centered @ np.swapaxes(centered, -1, -2) / n
 
         kept = fit.alpha_w == 0.0
-        sigma_x, sigma_x_inv, eigs = design.inverse(kept)
         context = f"sandwich bread over the {np.count_nonzero(kept)} of {n} rows with zero shift"
-        _require_regular(eigs, context)
+        sigma_x, sigma_x_inv = _checked_inverse(design, kept, context)
         cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
         cov_beta = (cov_beta + np.swapaxes(cov_beta, -1, -2)) / 2.0
         std_errors = np.sqrt(np.clip(np.diagonal(cov_beta, axis1=-2, axis2=-1), 0.0, None))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SortedSample
-from .wls import Fit, WeightedDesign, _matvec, _require_regular, build_weighted_design
+from .wls import Fit, WeightedDesign, _checked_inverse, _matvec, build_weighted_design
 
 DEFAULT_TAU0 = 0.3
 
@@ -28,17 +28,15 @@ def fit_two_step(sorted_sample: SortedSample, kw: WeightedDesign, fit: Fit) -> F
 
     Equivalent to the joint least-squares problem where shifts are free on
     the flagged set: those rows' residuals are absorbed exactly, so they drop
-    out of the coefficient normal equations.  Raises SingularGramError when a
-    sample's kept rows have a singular Gram matrix; in a block, such a
-    replication gets NaN coefficients instead.
+    out of the coefficient normal equations.  A singular Gram of the kept rows
+    raises SingularGramError, or gives a block's replication NaN coefficients.
     """
     design = build_weighted_design(sorted_sample, kw)
     outliers = detect_outliers(fit)
     keep = np.ones(design.yw.shape, dtype=bool)
     keep.flat[outliers] = False
-    _, inv, eigs = design.inverse(keep)
-    n = design.yw.shape[-1]
-    _require_regular(eigs, f"screened refit after removing {outliers.size} of {n} rows")
+    context = f"screened refit after removing {outliers.size} of {keep.shape[-1]} rows"
+    _, inv = _checked_inverse(design, keep, context)
     rhs = _matvec(np.swapaxes(design.xw, -1, -2), np.where(keep, design.yw, 0.0))
     beta = _matvec(inv, rhs)
 

@@ -7,8 +7,10 @@ sorted sample, and every fit and sandwich of that sample solves on it.  Every
 p x p Gram matrix, of all rows or of a subset, is formed here and inverted
 through its eigendecomposition, which also gives the singularity check, since
 p is small and fixed while n dominates.  A design may hold a block of
-replications (a leading axis on every array).  A singular Gram raises for a
-sample; in a block it makes only that replication's results NaN.
+replications (a leading axis on every array).  Every solve and sandwich bread
+takes its inverse from ``_checked_inverse``: a singular Gram raises
+SingularGramError for a sample, and in a block makes only that replication's
+results NaN.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ class WeightedDesign:
         inverse and its eigenvalues, through one eigendecomposition per replication.
 
         Does not raise: a singular Gram (see ``_singular``) gets an all-NaN
-        inverse, so whatever a block computes from a singular replication is
-        NaN, while a sample's caller raises through ``_require_regular``.  Each
+        inverse, which ``_checked_inverse`` turns into an error for a sample.  Each
         result is kept on the design, keyed by its rows (an all-true ``keep`` is
         all rows), so the two-step refit's inverse is also its sandwich's bread.
         """
@@ -85,12 +86,11 @@ def _singular(eigs: np.ndarray) -> np.ndarray:
     return eigs[..., 0] <= GRAM_RTOL * np.maximum(eigs[..., -1], 0.0)
 
 
-def _require_regular(eigs: np.ndarray, context: str = "") -> None:
-    """Raise SingularGramError, naming ``context``, if one sample's Gram is singular.
-
-    A block's eigenvalues (one row per replication) never raise: a singular
-    replication's inverse is NaN, so its results are NaN and the study drops it.
-    """
+def _checked_inverse(design: WeightedDesign, keep=None, context: str = "") -> tuple:
+    """``design.inverse(keep)``'s Gram matrix and inverse, raising SingularGramError,
+    naming ``context``, if one sample's Gram is singular.  A block never raises: a
+    singular replication's inverse is NaN, so its results are NaN and the study drops it."""
+    gram, inv, eigs = design.inverse(keep)
     if eigs.ndim == 1 and _singular(eigs):
         low, high = eigs[[0, -1]]
         detail = f" ({context})" if context else ""
@@ -104,6 +104,7 @@ def _require_regular(eigs: np.ndarray, context: str = "") -> None:
             f"{low:.3e} <= {GRAM_RTOL:g} * largest {high:.3e}; "
             "covariates are collinear after weighting"
         )
+    return gram, inv
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -155,14 +156,9 @@ def build_weighted_design(sorted_sample: SortedSample, kw: WeightedDesign) -> We
 
 
 def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
-    """Coefficients b minimizing ||target_w - xw @ b||_2^2 (per replication of a block).
-
-    Raises SingularGramError when a sample's Gram matrix has a relative
-    eigenvalue below GRAM_RTOL; a block's singular replication gets NaN
-    coefficients instead.
-    """
-    _, inv, eigs = design.inverse()
-    _require_regular(eigs)
+    """Coefficients b minimizing ||target_w - xw @ b||_2^2 (per replication of a block);
+    a singular Gram raises SingularGramError, or gives a block's replication NaN."""
+    _, inv = _checked_inverse(design)
     return _matvec(inv, _matvec(np.swapaxes(design.xw, -1, -2), target_w))
 
 

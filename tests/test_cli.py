@@ -148,6 +148,14 @@ class TestFit:
         assert out == ""
         assert err.startswith(f"error: {path}: line 3:") and err.count("\n") == 1
 
+    def test_csv_that_is_not_utf8_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,delta,x1\n1,1,1\n2,1,2\n3,0,3\n4,1,\xff\n")
+        rc, out, err = run_cli(capsys, ["fit", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: {path}: line 5: not UTF-8\n"
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, ["fit", str(tmp_path / "nope.csv")])
         assert rc == 1

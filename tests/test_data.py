@@ -1,4 +1,6 @@
+import csv
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustaft import SurvivalSample, data, load_csv, sort_sample, write_csv
+from robustaft import DgpConfig, SurvivalSample, data, generate_sample, load_csv, sort_sample, write_csv
 
 
 def make_sample(y, delta, x=None):
@@ -304,6 +306,57 @@ class TestCsv:
         with pytest.raises(ValueError) as err:
             load_csv(path)
         assert str(err.value) == f"{path}: row 2: expected 3 fields, got 4"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_byte_that_is_not_utf8_names_its_file_line(self, tmp_path):
+        """0xff at byte 18 000 of a 27 KB file, several decoder chunks in, is named by
+        its line counted from the start of the file, from a file and from a pipe."""
+        path = tmp_path / "d.csv"
+        write_csv(generate_sample(DgpConfig(n=600, seed=1)), path)
+        text = bytearray(path.read_bytes())
+        assert 27_000 < len(text) < 28_000 and text[18_000] != ord("\n")
+        text[18_000] = 0xFF
+        path.write_bytes(text)
+        assert text[:18_000].count(b"\n") + 1 == 399
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: line 399: not UTF-8"
+
+        read_end, write_end = os.pipe()
+
+        def feed():  # the pipe may hold less than the whole file, so a thread writes it
+            with open(write_end, "wb") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                load_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+            writer.join()
+        assert str(err.value) == f"/dev/fd/{read_end}: line 399: not UTF-8"
+
+    def test_a_header_byte_that_is_not_utf8_is_named(self, tmp_path):
+        """A bad byte in the header says so; valid non-ASCII text there is a wrong header."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"y,del\xffta,x1\n1,1,1\n2,1,2\n3,0,3\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: line 1: not UTF-8"
+        path.write_bytes("y,delta,x\u00fd\n1,1,1\n2,1,2\n3,0,3\n".encode())
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: header must be 'y,delta,x1,...,xp', got 'y,delta,x\u00fd'"
+
+    def test_a_header_field_past_the_size_limit_names_line_one(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,delta,x" + "1" * csv.field_size_limit() + "\n1,1,1\n2,1,2\n3,0,3\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        limit = csv.field_size_limit()
+        assert str(err.value) == f"{path}: line 1: field larger than field limit ({limit})"
 
 
 def _outcome(load):

@@ -126,9 +126,10 @@ class TestComputePsi:
     @given(st.data())
     def test_every_used_tail_denominator_is_at_least_one_over_n(self, data):
         """The denominators psi divides by, 1 - G(Y-) on every row and 1 - H on
-        every censored row below its replication's top group, are at least 1/n,
-        so ``DENOM_FLOOR`` = 1e-10 only turns the top group's 0/0 into 0: heavy
-        ties, all but one row censored, samples and blocks."""
+        every censored row below its replication's top group, are at least 1/n
+        and stored unfloored; 1 - H is +inf exactly on each replication's top
+        group, whose suffix sum is +0.0: heavy ties, all but one row censored,
+        samples and blocks."""
         reps, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 40))
 
         def rows(values):
@@ -149,15 +150,18 @@ class TestComputePsi:
             ss = sort_sample(_adopt(y, delta, x))
         _, _, denom_g, denom_h, _, _ = _tail_terms(ss)
         group, censored = ss.group.ravel(), ss.base.delta.ravel() == 0
-        below_top = (ss.stop % n != 0)[group]
+        top = ss.stop % n == 0  # each replication's top group
         bound = (1.0 - 1e-12) / n
         # 1 - G(Y-) on every row: G of the group below, 0 in a replication's lowest group
         g_left = np.where(ss.first % n == 0, 0.0, np.concatenate(([0.0], censoring_km(ss)[:-1])))
         surv_g = 1.0 - g_left[group]
         assert np.all(surv_g >= bound)
         # psi divides by it on uncensored rows; +inf on censored rows multiplies by delta
-        assert np.array_equal(denom_g.ravel(), np.where(censored, np.inf, np.maximum(surv_g, 1e-10)))
-        assert np.all(denom_h[group[censored & below_top]] >= bound)
+        assert np.array_equal(denom_g.ravel(), np.where(censored, np.inf, surv_g))
+        assert np.all(denom_h[group[censored & ~top[group]]] >= bound)
+        # 1 - H is 0 only on a replication's top group, where psi reads +inf
+        assert np.array_equal(denom_h == np.inf, top)
+        assert np.array_equal(denom_h[~top], (n - ss.stop[~top] % n) / n)
         assert np.isfinite(compute_psi(ss, np.zeros(1))).all()
 
     def test_a_failed_fit_does_not_warn(self):
