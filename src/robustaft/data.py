@@ -190,40 +190,43 @@ _BULK_ALPHABET = b"0123456789eE+-., \t\r\n"
 def load_csv(path) -> SurvivalSample:
     """Read a sample from a CSV file with header ``y,delta,x1,...,xp``.
 
-    The file is read once, whether it is a regular file or a pipe.  The csv
-    module reads and checks the header; the rest of the file is then taken as
-    UTF-8 bytes, and the body takes one of two paths over those bytes, both
-    giving an (n, p + 2) table for the same ``SurvivalSample`` constructor
-    (whose n > p check applies to either):
+    The file, or the pipe, is read once as bytes, and a leading UTF-8
+    byte-order mark is dropped.  The csv module reads and checks the header
+    from a UTF-8 view of those bytes; the bytes after it, the body, take one
+    of two paths, both giving an (n, p + 2) table for the same
+    ``SurvivalSample`` constructor (whose n > p check applies to either):
 
-    - **Bulk:** one ``np.loadtxt`` pass, taken only when the body is drawn from
-      the digits, ``eE+-.,``, space, tab, CR and LF, no LF-separated line
-      reaches ``csv.field_size_limit()`` (``loadtxt`` has no such limit), and
-      the parsed table has p + 2 columns, finite entries and every delta 0 or
-      1.  On that alphabet ``loadtxt`` rejects any CR not followed by LF, skips
-      only empty lines and converts with the same correctly rounded routine as
-      ``float()``.
+    - **Bulk:** one ``np.loadtxt`` pass over the undecoded bytes, taken only
+      when the body is drawn from the digits, ``eE+-.,``, space, tab, CR and
+      LF, no LF-separated line reaches ``csv.field_size_limit()`` (``loadtxt``
+      has no such limit), and the parsed table has p + 2 columns, finite
+      entries and every delta 0 or 1.  On that alphabet ``loadtxt`` rejects
+      any CR not followed by LF, skips only empty lines and converts with the
+      same correctly rounded routine as ``float()``.
     - **Scan:** anything else (``nan``, ``inf``, ``1_0``, quoted fields, other
-      whitespace, non-ASCII digits, long fields, malformed rows) is read row by
-      row with the csv module and ``float()``.  Every error about the body's
-      text comes from this path.
+      whitespace, non-ASCII text, long fields, malformed rows) is decoded as
+      UTF-8 and read row by row with the csv module and ``float()``.  Every
+      error about the body's text comes from this path.
 
-    A leading byte-order mark is skipped.  Row numbers in error messages are
-    1-based file lines (the header is line 1); a record spanning several lines
-    is named by the line it ends on.  Raises ValueError on any malformed
-    content, including text the csv module cannot split into fields and a byte
-    that is not UTF-8 (read as a lone surrogate, which ``encode`` rejects).
+    Row numbers in error messages are 1-based file lines (the header is line
+    1; CRLF, CR and LF each end one); a record spanning several lines is
+    named by the line it ends on.  Raises ValueError on any malformed content,
+    including text the csv module cannot split into fields and a byte that is
+    not UTF-8.
     """
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
+    # a byte that is not UTF-8 reads as a lone surrogate, which encodes back to it
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape", newline="") as text:
+        reader = csv.reader(text)
         try:
             names = _read_header(reader, path)
-            raw = fh.read().encode()
         except csv.Error as err:
             raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
-        except UnicodeEncodeError as err:
-            line = reader.line_num + 1 + err.object.count("\n", 0, err.start)
-            raise ValueError(f"{path}: line {line}: not UTF-8") from None
+        # re-read the header's lines to measure them (after a CR, tell() is no offset)
+        text.seek(0)
+        header = "".join(text.readline() for _ in range(reader.line_num))
+    raw = raw[len(header.encode(errors="surrogateescape")) :]
     table = _parse_bulk(raw, len(names))
     if table is None:
         table = _scan(raw, names, path, reader.line_num)
@@ -235,11 +238,15 @@ def _parse_bulk(raw: bytes, width: int) -> np.ndarray | None:
     # A blank body makes loadtxt warn; the scan reports it as "no data rows".
     if not raw or raw.isspace() or raw.translate(None, _BULK_ALPHABET):
         return None
-    # Each gap between LFs is a line's length plus one; fall back when a line
-    # reaches the csv field size limit, which loadtxt does not enforce.
-    line_ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-    if np.diff(line_ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
-        return None
+    # Fall back when a line reaches the csv field size limit, which loadtxt does not
+    # enforce.  Such a line covers a whole aligned block of limit // 2 bytes, so only a
+    # full block with no LF calls for the gaps between LFs (a line's length plus one).
+    limit = csv.field_size_limit()
+    block = max(limit // 2, 1)
+    if any(raw.find(b"\n", i, i + block) < 0 for i in range(0, len(raw) - block + 1, block)):
+        line_ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        if np.diff(line_ends, prepend=-1, append=len(raw)).max() > limit:
+            return None
     try:
         table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:
@@ -275,6 +282,11 @@ def _header(p: int) -> list[str]:
 def _scan(body: bytes, names: list[str], path, skipped: int) -> np.ndarray:
     """The body row by row with the csv module and ``float()``, as an (n, p + 2)
     table; ``skipped`` is the number of file lines the header took."""
+    try:
+        body.decode()  # a byte that is not UTF-8 is named before any row's error
+    except UnicodeDecodeError as err:
+        line = skipped + len(body[: err.start + 1].splitlines())  # as in csv, CRLF, CR or LF ends a line
+        raise ValueError(f"{path}: line {line}: not UTF-8") from None
     # a bytes-backed stream holds the body at one byte per character
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline=""))
     rows = []

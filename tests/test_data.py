@@ -395,6 +395,27 @@ BULK_VS_SCAN = {
     "n-not-above-p": ("y,delta,x1,x2\n1,1,2,3\n2,0,3,4\n", False),
 }
 
+# The bulk path measures line lengths only when some aligned block of BLOCK body
+# bytes holds no LF.  After a first row of BLOCK bytes, a line starts on the
+# second block boundary; at LIMIT - 1 bytes its LF is the last byte of the third
+# block, and at LIMIT bytes the line fills the second and third blocks.
+LIMIT = csv.field_size_limit()
+BLOCK = LIMIT // 2
+ALIGNED = "y,delta,x1\n" + "1,1," + "0" * (BLOCK - 6) + "2\n"
+
+
+def _row_of(length: int) -> str:
+    """A valid row of ``length`` bytes before its LF."""
+    return "4,1," + "0" * (length - 5) + "3\n"
+
+
+BULK_VS_SCAN.update({
+    "line-of-limit-minus-one": (ALIGNED + _row_of(LIMIT - 1) + ROWS, False),
+    "line-of-limit": (ALIGNED + _row_of(LIMIT) + ROWS, True),
+    "line-of-limit-plus-one": (ALIGNED + _row_of(LIMIT + 1) + ROWS, True),
+    "body-under-half-limit": ("y,delta,x1\n" + _row_of(BLOCK - 20) + ROWS, False),
+})
+
 
 class TestBulkParse:
     """``load_csv``'s bulk path gives the row scan's bits or the row scan's message."""
@@ -501,3 +522,56 @@ class TestBulkParse:
         calls = self._spy_on_scan(monkeypatch)
         assert _outcome(lambda: load_csv(path)) == want
         assert calls == []
+
+
+def _file_and_pipe_outcomes(tmp_path, text: bytes):
+    """``load_csv``'s outcome on ``text`` read from a file and through a pipe,
+    each with its source's name replaced by ``<src>``."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(text)
+    from_file = _outcome(lambda: load_csv(path))
+    read_end, write_end = os.pipe()
+
+    def feed():  # the pipe may hold less than the whole text, so a thread writes it
+        with open(write_end, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    source = f"/dev/fd/{read_end}"
+    try:
+        from_pipe = _outcome(lambda: load_csv(source))
+    finally:
+        os.close(read_end)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    return [
+        got.replace(str(name), "<src>") if isinstance(got, str) else got
+        for got, name in ((from_file, path), (from_pipe, source))
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestLineEnds:
+    """Outcomes pinned to fixed values, so a header or offset bug that the bulk
+    path and the row scan share cannot pass by agreeing with itself."""
+
+    THREE_ROWS = _outcome(lambda: make_sample([1.0, 2.0, 3.0], [1, 1, 0], [[1.0], [2.0], [3.0]]))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"y,delta,x1\r1,1,1\r2,1,2\r3,0,3\r",
+            b"y,delta,x1\r\n1,1,1\n2,1,2\n3,0,3\n",
+            b"\xef\xbb\xbfy,delta,x1\r1,1,1\r2,1,2\r3,0,3\r",
+            b'"y\n",delta,x1\n1,1,1\n2,1,2\n3,0,3\n',
+        ],
+        ids=["cr-only", "crlf-header", "bom-cr-only", "quoted-line-break-in-header"],
+    )
+    def test_loads_the_three_row_sample(self, tmp_path, text):
+        assert _file_and_pipe_outcomes(tmp_path, text) == [self.THREE_ROWS] * 2
+
+    def test_a_byte_that_is_not_utf8_after_cr_lines_names_its_file_line(self, tmp_path):
+        """CR ends a line here as it does in the row messages (csv ``line_num``)."""
+        text = b"y,delta,x1\r1,1,1\r2,1,2\r\xff3,0,3\r"
+        assert _file_and_pipe_outcomes(tmp_path, text) == ["<src>: line 4: not UTF-8"] * 2
