@@ -191,10 +191,12 @@ def load_csv(path) -> SurvivalSample:
     """Read a sample from a CSV file with header ``y,delta,x1,...,xp``.
 
     The file, or the pipe, is read once as bytes, and a leading UTF-8
-    byte-order mark is dropped.  The csv module reads and checks the header
-    from a UTF-8 view of those bytes; the bytes after it, the body, take one
-    of two paths, both giving an (n, p + 2) table for the same
-    ``SurvivalSample`` constructor (whose n > p check applies to either):
+    byte-order mark is dropped.  A file that is not ASCII is checked as UTF-8
+    once, first, so a byte that is not UTF-8 is named by its own line before
+    any header or row error.  The csv module reads and checks the header from
+    one UTF-8 view of the bytes; the bytes after it, the body, take one of two
+    paths, both giving an (n, p + 2) table for the same ``SurvivalSample``
+    constructor (whose n > p check applies to either):
 
     - **Bulk:** one ``np.loadtxt`` pass over the undecoded bytes, taken only
       when the body is drawn from the digits, ``eE+-.,``, space, tab, CR and
@@ -204,32 +206,37 @@ def load_csv(path) -> SurvivalSample:
       any CR not followed by LF, skips only empty lines and converts with the
       same correctly rounded routine as ``float()``.
     - **Scan:** anything else (``nan``, ``inf``, ``1_0``, quoted fields, other
-      whitespace, non-ASCII text, long fields, malformed rows) is decoded as
-      UTF-8 and read row by row with the csv module and ``float()``.  Every
-      error about the body's text comes from this path.
+      whitespace, non-ASCII text, long fields, malformed rows) is read row by
+      row with ``float()`` by the csv reader that read the header, from the
+      same view.  Every error about the body's fields comes from this path.
 
-    Row numbers in error messages are 1-based file lines (the header is line
-    1; CRLF, CR and LF each end one); a record spanning several lines is
+    Row and line numbers in error messages are 1-based file lines (the header is
+    line 1; CRLF, CR and LF each end one); a record spanning several lines is
     named by the line it ends on.  Raises ValueError on any malformed content,
     including text the csv module cannot split into fields and a byte that is
     not UTF-8.
     """
     with open(path, "rb") as fh:
         raw = fh.read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
-    # a byte that is not UTF-8 reads as a lone surrogate, which encodes back to it
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape", newline="") as text:
+    if not raw.isascii():
+        try:
+            raw.decode()
+        except UnicodeDecodeError as err:
+            line = len(raw[: err.start + 1].splitlines())  # as in csv, CRLF, CR or LF ends a line
+            raise ValueError(f"{path}: line {line}: not UTF-8") from None
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as text:
         reader = csv.reader(text)
         try:
             names = _read_header(reader, path)
+            # re-read the header's lines to measure them (after a CR, tell() is no
+            # offset); the reader then carries on from the body's first line
+            text.seek(0)
+            header = "".join(text.readline() for _ in range(reader.line_num))
+            table = _parse_bulk(raw[len(header.encode()) :], len(names))
+            if table is None:
+                table = _scan(reader, names, path)
         except csv.Error as err:
             raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
-        # re-read the header's lines to measure them (after a CR, tell() is no offset)
-        text.seek(0)
-        header = "".join(text.readline() for _ in range(reader.line_num))
-    raw = raw[len(header.encode(errors="surrogateescape")) :]
-    table = _parse_bulk(raw, len(names))
-    if table is None:
-        table = _scan(raw, names, path, reader.line_num)
     return SurvivalSample(y=table[:, 0], delta=table[:, 1], x=table[:, 2:])
 
 
@@ -268,10 +275,7 @@ def _read_header(reader, path) -> list[str]:
     p = len(header) - 2
     expected = _header(p)
     if p < 1 or header != expected:
-        got = ",".join(header)
-        if any("\udc80" <= c <= "\udcff" for c in got):  # a byte that is not UTF-8, escaped
-            raise ValueError(f"{path}: line {reader.line_num}: not UTF-8")
-        raise ValueError(f"{path}: header must be 'y,delta,x1,...,xp', got {got!r}")
+        raise ValueError(f"{path}: header must be 'y,delta,x1,...,xp', got {','.join(header)!r}")
     return expected
 
 
@@ -279,39 +283,29 @@ def _header(p: int) -> list[str]:
     return ["y", "delta"] + [f"x{k}" for k in range(1, p + 1)]
 
 
-def _scan(body: bytes, names: list[str], path, skipped: int) -> np.ndarray:
-    """The body row by row with the csv module and ``float()``, as an (n, p + 2)
-    table; ``skipped`` is the number of file lines the header took."""
-    try:
-        body.decode()  # a byte that is not UTF-8 is named before any row's error
-    except UnicodeDecodeError as err:
-        line = skipped + len(body[: err.start + 1].splitlines())  # as in csv, CRLF, CR or LF ends a line
-        raise ValueError(f"{path}: line {line}: not UTF-8") from None
-    # a bytes-backed stream holds the body at one byte per character
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline=""))
+def _scan(reader, names: list[str], path) -> np.ndarray:
+    """The rows left in the csv ``reader``, checked and parsed with ``float()``, as
+    an (n, p + 2) table; a ``csv.Error`` propagates to the caller."""
     rows = []
-    try:
-        for row in reader:
-            if not row:
-                continue
-            lineno = skipped + reader.line_num
-            if len(row) != len(names):
-                raise ValueError(f"{path}: row {lineno}: expected {len(names)} fields, got {len(row)}")
-            vals = []
-            for col, (name, text) in enumerate(zip(names, row), start=1):
-                try:
-                    vals.append(float(text))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {col} ({name}): cannot parse {text.strip()!r}"
-                    ) from None
-            if vals[1] not in (0.0, 1.0):
-                raise ValueError(f"{path}: row {lineno}: delta must be 0 or 1, got {row[1].strip()}")
-            if not all(map(math.isfinite, vals)):
-                raise ValueError(f"{path}: row {lineno}: non-finite entry")
-            rows.append(vals)
-    except csv.Error as err:
-        raise ValueError(f"{path}: line {skipped + reader.line_num}: {err}") from None
+    for row in reader:
+        if not row:
+            continue
+        lineno = reader.line_num
+        if len(row) != len(names):
+            raise ValueError(f"{path}: row {lineno}: expected {len(names)} fields, got {len(row)}")
+        vals = []
+        for col, (name, text) in enumerate(zip(names, row), start=1):
+            try:
+                vals.append(float(text))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {lineno}, column {col} ({name}): cannot parse {text.strip()!r}"
+                ) from None
+        if vals[1] not in (0.0, 1.0):
+            raise ValueError(f"{path}: row {lineno}: delta must be 0 or 1, got {row[1].strip()}")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{path}: row {lineno}: non-finite entry")
+        rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows)

@@ -432,9 +432,9 @@ class TestBulkParse:
         calls = []
         scan = data._scan
 
-        def spy(body, names, path, skipped):
+        def spy(reader, names, path):
             calls.append(path)
-            return scan(body, names, path, skipped)
+            return scan(reader, names, path)
 
         monkeypatch.setattr(data, "_scan", spy)
         return calls
@@ -575,3 +575,31 @@ class TestLineEnds:
         """CR ends a line here as it does in the row messages (csv ``line_num``)."""
         text = b"y,delta,x1\r1,1,1\r2,1,2\r\xff3,0,3\r"
         assert _file_and_pipe_outcomes(tmp_path, text) == ["<src>: line 4: not UTF-8"] * 2
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (b'"y\xff\n",delta,x1\n1,1,1\n2,1,2\n3,0,3\n', 1),
+            (b"y,delta,z1\n1,1,1\n2,1,\xff\n3,0,3\n", 3),
+        ],
+        ids=["in-a-two-line-header-record", "after-a-wrong-header"],
+    )
+    def test_a_byte_that_is_not_utf8_is_named_by_its_own_line_first(self, tmp_path, text, line):
+        """The byte's own line, not the line its header record ends on, and before
+        the header's own error."""
+        assert _file_and_pipe_outcomes(tmp_path, text) == [f"<src>: line {line}: not UTF-8"] * 2
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,1,1\n2,1,2,9\n3,0,3\n", "row 4: expected 3 fields, got 4"),
+            (
+                "1,1,1\n2,1," + "0" * LIMIT + "2\n3,0,3\n",
+                f"line 4: field larger than field limit ({LIMIT})",
+            ),
+        ],
+        ids=["wide-row", "long-field"],
+    )
+    def test_the_scan_counts_the_lines_of_a_two_line_header(self, tmp_path, body, message):
+        text = ('"y\n",delta,x1\n' + body).encode("ascii")
+        assert _file_and_pipe_outcomes(tmp_path, text) == [f"<src>: {message}"] * 2
