@@ -62,34 +62,30 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
 
 
 def _tail_terms(sorted_sample: SortedSample) -> tuple:
-    """Sample-only part of psi: each group's offsets into the gamma2 prefix sums and
-    into the suffix sums, both held n + 1 entries per replication; each row's 1 - G(Y-),
-    +inf on censored rows so that dividing by it also multiplies by delta; each group's
-    1 - H, +inf on a replication's top group; per row 1 - delta; and per replication the
-    groups whose gamma2 terms the prefix sums add, in row order, padded with the top group."""
+    """Sample-only part of psi, with one table slot per tie group in row order and
+    ``width`` (the most groups of any replication) slots per replication: each
+    group's slot and each row's; each row's 1 - G(Y-), +inf on censored rows so that
+    dividing by it also multiplies by delta; per slot 1 - H and (1 - H)^2 over the
+    censored count, +inf on a top group, past a replication's last group and (the
+    second) on a group with no censored row; per row 1 - delta."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
     group, first, stop = sorted_sample.group, sorted_sample.first, sorted_sample.stop
     rep = first // n  # each group's replication
     # G(Y-) of a row is G at the tie group below its own, and 0 in its replication's lowest group
     below = np.concatenate(([0.0], censoring_km(sorted_sample)[:-1]))
     denom_g = np.where(delta == 0, np.inf, 1.0 - np.where(first == rep * n, 0.0, below)[group])
+    local = np.arange(first.shape[0]) - np.searchsorted(first, np.arange(0, delta.size, n))[rep]
+    width = local.max() + 1
+    slot = rep * width + local
     surv_h = (n - (stop - rep * n)) / n  # 1 - H(Y) on each group
-    # gamma2 sums the terms of the censored rows strictly below the evaluation point.
-    # The prefix sums add those rows' terms and, for each replication's first
-    # uncensored row, the top group's, which is +0.0: the same additions in the same
-    # order as a sum over every row (+0.0 for each uncensored one), since only the
-    # first +0.0 can change a bit, turning -0.0 into +0.0
-    top = stop.shape[0] - 1
-    row_adds = np.where(delta == 0, group, top).reshape(-1, n)
-    picked = ((delta == 0) | (np.cumsum(delta, axis=-1) == 1)).reshape(-1, n)
-    count = np.cumsum(picked, axis=-1)  # rows picked at or below each row
-    adds = np.full((picked.shape[0], count[:, -1].max()), top)
-    adds[np.arange(adds.shape[1]) < count[:, -1:]] = row_adds[picked]
-    picked_below = np.take(count, first) - np.take(picked, first)
-    # +inf on the top group, whose suffix sum is +0.0.  Made last: made before the
-    # adds table, it raised fit-csv's peak RSS by 1.5 MB (glibc reuses freed blocks)
-    denom_h = np.where(surv_h > 0.0, surv_h, np.inf)
-    return picked_below + rep * (n + 1), stop + rep, denom_g, denom_h, 1.0 - delta, adds
+    surv_h[surv_h == 0.0] = np.inf  # the top group, whose suffix sum is +0.0
+    count = np.bincount(group.ravel(), weights=(delta == 0).ravel())  # censored rows
+    tables = np.full((2, delta.size // n * width), np.inf)
+    with np.errstate(divide="ignore"):  # +inf on a group with no censored row
+        tables[:, slot] = surv_h, surv_h**2 / count
+    denom_h, denom_h2 = tables.reshape((2,) + delta.shape[:-1] + (width,))
+    rows = group if slot.shape[0] == denom_h.size else np.take(slot, group)
+    return slot, rows, denom_g, denom_h, denom_h2, 1.0 - delta
 
 
 def compute_psi(
@@ -107,18 +103,19 @@ def compute_psi(
     The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
 
     Per sample, computed by the first call and kept on the sorted sample: the
-    censoring KM fit and G(Y_(i)-) and the 1 - G and 1 - H denominators
-    (the tie groups come with the sorted sample).  Per fit, on every call: the
-    summands c, two cumulative sums and the gathers from tie groups to rows.
+    censoring KM fit, the 1 - G and 1 - H denominators, each tie group's slot,
+    and (1 - H)^2 over its censored count.  Per fit, on every call: the summands
+    c, gamma1's suffix and gamma2's prefix sums over the tie groups and, when some
+    group has two or more rows, c's sum over each group and the gathers to rows.
     """
     base = sorted_sample.base
     y, x = base.y, base.x
     n, p = base.n, base.p
-    group = sorted_sample.group
     tails = _memo(sorted_sample, ("psi",), lambda: _tail_terms(sorted_sample))
-    at_first, at_stop, denom_g, denom_h, censored, adds = tails
+    slot, rows, denom_g, denom_h, denom_h2, censored = tails
+    tied = slot.shape[0] < y.size
 
-    # everything below is (p, rows) or (p, groups), with a block's replication axis
+    # everything below is (p, rows) or (p, slots), with a block's replication axis
     # after p, so each pass runs along the long axis
     # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-)), built in place
     xi = _matvec(x, beta)
@@ -126,35 +123,40 @@ def compute_psi(
     if alpha is not None:
         xi -= np.asarray(alpha, dtype=float)
     xi /= denom_g
-    c = np.moveaxis(x, -1, 0) * xi
+    c = np.multiply(np.moveaxis(x, -1, 0), xi, order="C")
     del xi
 
-    # y is sorted, so strict comparisons reduce to tie-group slices
-    csuf = np.empty(c.shape[:-1] + (n + 1,))
-    csuf[..., n] = 0.0
-    np.cumsum(c[..., ::-1], axis=-1, out=csuf[..., n - 1 :: -1])  # csuf[..., i] = sum of c[..., i:]
-    s_strict = np.take(csuf.reshape(p, -1), at_stop, 1)  # per group: sum of c over {m : Y_(m) > Y}
+    # y is sorted, so strict comparisons reduce to tie groups: sum c over each group
+    # into its slot, zero past a replication's last group (c itself when every group
+    # is one row)
+    sums = c
+    if tied:
+        sums = np.zeros((p,) + denom_h.shape)
+        sums.reshape(p, -1)[:, slot] = np.add.reduceat(c.reshape(p, -1), sorted_sample.first, -1)
+    # gamma1's suffix sums: suf[..., j] = sum of c over the groups above group j
+    suf = np.empty((p,) + denom_h.shape)
+    suf[..., -1] = 0.0
+    np.cumsum(sums[..., :0:-1], axis=-1, out=suf[..., -2::-1])
+    del sums
+    # gamma2's prefix sums: pre[..., j] = sum over the groups below group j of suf
+    # times the group's censored count over (1 - H)^2.  A group with no censored row
+    # adds a zero, which leaves any sum but a zero one as it was: on an untied
+    # sample, the censored rows' terms in row order
+    pre = np.empty(suf.shape)
+    pre[..., 0] = 0.0
+    np.divide(suf[..., :-1], denom_h2[..., :-1], out=pre[..., 1:])
+    np.cumsum(pre[..., 1:], axis=-1, out=pre[..., 1:])
+    pre /= n**2  # gamma2 on each group
+    suf /= n * denom_h  # gamma1 on each group
 
-    terms = np.take(s_strict / denom_h**2, adds, 1).reshape(csuf.shape[:-1] + adds.shape[-1:])
-    # the suffix sums are spent: reuse their buffer for the prefix sums, whose entries
-    # past a replication's own picked rows are never read
-    dpre = csuf
-    dpre[..., 0] = 0.0
-    np.cumsum(terms, axis=-1, out=dpre[..., 1 : terms.shape[-1] + 1])
-    del terms
-    gamma2 = np.take(dpre.reshape(p, -1), at_first, 1)
-    gamma2 /= n**2
-    del csuf, dpre  # free them before the output's temporaries
-    gamma1 = s_strict  # s_strict is spent too: divide it in place
-    gamma1 /= n * denom_h
-
-    # (1 - delta) gamma1 + c - gamma2, built in c's buffer
+    # (1 - delta) gamma1 + c - gamma2, built in c's buffer; untied, each slot is its row
     psi = c
-    gathered = np.take(gamma1, group, 1)
+    gathered = np.take(suf.reshape(p, -1), rows, 1) if tied else suf
+    del suf
     gathered *= censored
     psi += gathered
     del gathered
-    psi -= np.take(gamma2, group, 1)
+    psi -= np.take(pre.reshape(p, -1), rows, 1) if tied else pre
     return np.moveaxis(psi, 0, -1)
 
 
@@ -201,11 +203,9 @@ def sandwich_ci(
     n = psi_t.shape[-1]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # the mean is a running sum, which adds in the same order as a column mean
-        # over (n, p) rows; mean(axis=-1) sums pairwise and would move the last bits
-        # of every interval
+        # the mean sums each row pairwise, with no (p, n) temporary
         centered = psi_t  # psi_t is this call's own array: center it in place
-        centered -= np.cumsum(psi_t, axis=-1)[..., -1:] / n
+        centered -= psi_t.sum(axis=-1, keepdims=True) / n
         sigma_hat = centered @ np.swapaxes(centered, -1, -2) / n
 
         kept = fit.alpha_w == 0.0

@@ -4,6 +4,8 @@ Everything here is deliberately written the slow, literal way (explicit loops,
 generic solvers) so it shares no code path with the package.
 """
 
+from functools import cache
+
 import numpy as np
 
 from robustaft import SurvivalSample
@@ -98,14 +100,20 @@ def censoring_surv_left(y, delta, t):
 
 
 def psi_double_loop(y, delta, x, beta, alpha):
-    """Influence vectors evaluated by direct double sums (sorted inputs)."""
+    """Influence vectors evaluated by direct double sums (sorted inputs).
+
+    Each sum is a function of the evaluation point alone, so it is kept per
+    point: tied rows read it once.
+    """
     n, p = x.shape
     xi = y - x @ beta - alpha
     g_left = np.array([1.0 - censoring_surv_left(y, delta, y[i]) for i in range(n)])
 
+    @cache
     def cdf_h(t):
         return np.sum(y <= t) / n
 
+    @cache
     def gamma1(t, k):
         total, count = 0.0, 0
         for i in range(n):
@@ -116,6 +124,7 @@ def psi_double_loop(y, delta, x, beta, alpha):
             return 0.0
         return total / n / (1.0 - cdf_h(t))
 
+    @cache
     def gamma2(t, k):
         total = 0.0
         for i in range(n):

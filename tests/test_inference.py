@@ -122,6 +122,24 @@ class TestComputePsi:
             oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
             assert np.max(np.abs(ours - oracle)) < 1e-12
 
+    def test_heavy_ties_match_double_loop(self):
+        """n = 200 in ten tie groups of 11 to 26 rows, each holding failures and
+        censorings, with nonzero shifts: psi sums c over each group, and gamma2
+        counts each group's censored rows."""
+        rng = np.random.default_rng(51)
+        n = 200
+        x = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = rng.integers(0, 10, size=n).astype(float)
+        ss = sort_sample(SurvivalSample(y=y, delta=(rng.random(n) < 0.6).astype(int), x=x))
+        failures = np.add.reduceat(ss.base.delta, ss.first)
+        assert ss.first.shape[0] == 10
+        assert np.all((failures > 0) & (failures < np.diff(ss.first, append=n)))
+        beta = rng.normal(size=2)
+        alpha = np.where(rng.random(n) < 0.15, rng.normal(size=n) * 4.0, 0.0)
+        ours = compute_psi(ss, beta, alpha)
+        oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
+        assert np.max(np.abs(ours - oracle)) < 1e-12
+
     @settings(deadline=None, max_examples=150)
     @given(st.data())
     def test_every_used_tail_denominator_is_at_least_one_over_n(self, data):
@@ -148,7 +166,8 @@ class TestComputePsi:
             ss = sort_sample(SurvivalSample(y=y[0], delta=delta[0], x=x[0]))
         else:
             ss = sort_sample(_adopt(y, delta, x))
-        _, _, denom_g, denom_h, _, _ = _tail_terms(ss)
+        slot, _, denom_g, denom_h, _, _ = _tail_terms(ss)
+        denom_h = denom_h.ravel()[slot]  # each group's 1 - H, read from its slot
         group, censored = ss.group.ravel(), ss.base.delta.ravel() == 0
         top = ss.stop % n == 0  # each replication's top group
         bound = (1.0 - 1e-12) / n
@@ -317,13 +336,55 @@ class TestSandwichCi:
         got = {name: [float(v).hex() for v in np.ravel(getattr(inf, name))]
                for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper")}
         assert got == {
-            "sigma_hat": ["0x1.89f29551b41f2p+2", "0x1.40ee21be471b6p+2",
+            "sigma_hat": ["0x1.89f29551b41f0p+2", "0x1.40ee21be471b6p+2",
                           "0x1.40ee21be471b6p+2", "0x1.1f8c13a2d907fp+2"],
-            "cov_beta": ["0x1.65f72df2bf4c6p-7", "-0x1.b04660fc6b5bcp-6",
-                         "-0x1.b04660fc6b5bcp-6", "0x1.291b266a53576p-4"],
-            "ci_lower": ["0x1.d1755ae3d8008p-1", "0x1.8335f8a8a0180p-4"],
-            "ci_upper": ["0x1.519d41cba2840p+0", "0x1.2677da9f8d7e6p+0"],
+            "cov_beta": ["0x1.65f72df2bf4bdp-7", "-0x1.b04660fc6b5b4p-6",
+                         "-0x1.b04660fc6b5b4p-6", "0x1.291b266a53573p-4"],
+            "ci_lower": ["0x1.d1755ae3d800ap-1", "0x1.8335f8a8a0190p-4"],
+            "ci_upper": ["0x1.519d41cba283fp+0", "0x1.2677da9f8d7e5p+0"],
         }
+
+    def test_stute_sandwich_is_pinned_to_the_bit_on_an_untied_sample(self):
+        """The tied test's draw, unrounded: every tie group is one row, so psi's
+        group sums are its summands and each prefix sum adds one row at a time."""
+        raw = generate_sample(DgpConfig(n=2000, mu=2.0, seed=_cell_seed(11, 0, 0)))
+        ss = sort_sample(raw)
+        assert ss.first.shape[0] == raw.n
+        kw = km_weights(ss)
+        inf = sandwich_ci(ss, kw, stute_fit(ss, kw))
+        got = {name: [float(v).hex() for v in np.ravel(getattr(inf, name))]
+               for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper")}
+        assert got == {
+            "sigma_hat": ["0x1.87362ac879c62p+2", "0x1.3edc9209eb989p+2",
+                          "0x1.3edc9209eb989p+2", "0x1.1dd3fa66553d7p+2"],
+            "cov_beta": ["0x1.63ec15eadd633p-7", "-0x1.ae14fee714adcp-6",
+                         "-0x1.ae14fee714adcp-6", "0x1.27aa483eaed26p-4"],
+            "ci_lower": ["0x1.d1aed3fd9708cp-1", "0x1.7c7bec0158728p-4"],
+            "ci_upper": ["0x1.516d3ff007964p+0", "0x1.25643fa349d58p+0"],
+        }
+
+    def test_a_tied_and_an_untied_sample_in_one_block_match_each_fitted_alone(self):
+        """The tied replication has fewer tie groups than the untied one, so its
+        slot tables are zero-padded; each replication's sandwich has the bits of
+        its sample fitted alone, for all three fits."""
+        raw = [generate_sample(DgpConfig(n=400, mu=2.0, seed=_cell_seed(5, 0, r))) for r in range(2)]
+        samples = [SurvivalSample(y=np.round(raw[0].y, 1), delta=raw[0].delta, x=raw[0].x), raw[1]]
+
+        def sandwiches(sample):
+            ss = sort_sample(sample)
+            kw = km_weights(ss)
+            pen = fit_penalized(ss, kw)
+            return ss, [sandwich_ci(ss, kw, fit) for fit in (stute_fit(ss, kw), pen,
+                                                             fit_two_step(ss, kw, pen))]
+
+        ss, block = sandwiches(_adopt(*(np.stack([getattr(s, k) for s in samples])
+                                        for k in ("y", "delta", "x"))))
+        groups = np.bincount(ss.first // 400)
+        assert groups[0] < groups[1] == 400
+        for r, sample in enumerate(samples):
+            for together, alone in zip(block, sandwiches(sample)[1]):
+                for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper"):
+                    assert getattr(together, name)[r].tobytes() == getattr(alone, name).tobytes()
 
     def test_level_validation_and_fit_type(self):
         ss, kw = prepare([1.0, 2.0, 3.0], [1, 1, 1])
@@ -352,3 +413,28 @@ def test_plugin_variance_calibrated_for_screened_fit():
             assert np.array_equal(two.beta, fit.beta)
     ratio = np.median(plugins) / np.var(estimates)
     assert 0.7 <= ratio <= 1.3
+
+
+@pytest.mark.parametrize("gamma", [
+    0.0,
+    pytest.param(1.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "censoring that depends on x breaks Stute's condition "
+        "P(T <= C | X, T) = P(T <= C | T): the slope is biased by about +0.2"))),
+])
+def test_intervals_need_censoring_independent_of_x(gamma):
+    """Clean data with censoring C ~ N(3 + gamma (x2 - 1/2), 1), 100 replications
+    at n = 2000 in one block: the Stute and two-step slopes are unbiased and
+    their 95% intervals cover only when gamma = 0."""
+    rng = np.random.default_rng(8)
+    reps, n = 100, 2000
+    x2 = rng.random((reps, n))
+    t = 1.0 + x2 + rng.standard_normal((reps, n))
+    c = 3.0 + gamma * (x2 - 0.5) + rng.standard_normal((reps, n))
+    x = np.stack([np.ones_like(x2), x2], axis=-1)
+    ss = sort_sample(_adopt(np.minimum(t, c), (t <= c).astype(np.int64), x))
+    kw = km_weights(ss)
+    for fit in (stute_fit(ss, kw), fit_two_step(ss, kw, fit_penalized(ss, kw))):
+        inf = sandwich_ci(ss, kw, fit)
+        covered = (inf.ci_lower[:, 1] <= 1.0) & (1.0 <= inf.ci_upper[:, 1])
+        assert abs(fit.beta[:, 1].mean() - 1.0) < 0.06
+        assert covered.mean() >= 0.85
