@@ -134,7 +134,8 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
 
     The permutation is ``np.lexsort((-delta, y), axis=-1)``'s.  It costs one
     sort of y, plus, only when some tie group has two or more rows, one sort of
-    a key unique to each row: (group * 2 + 1 - delta) * n + row index.
+    a key unique to each row, (group * 2 + 1 - delta) << shift | row index with shift =
+    (n - 1).bit_length(): it fits in int64 up to 2 ** 31 rows (R * n * 2 ** shift <= 2 ** 62).
     """
     shape, n = sample.y.shape, sample.n
     order = np.argsort(sample.y, axis=-1)
@@ -146,17 +147,17 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
     starts[..., 1:] = y[..., 1:] != y[..., :-1]
     first = np.flatnonzero(starts)
     stop = np.append(first[1:], y.size)
-    group = np.cumsum(starts, axis=None).reshape(shape)
-    group -= 1
+    group = np.repeat(np.arange(first.shape[0]), stop - first).reshape(shape)
     if first.shape[0] < y.size:
         # a tie: order each group's rows by (delta descending, row index), which a
         # sort of the unique key gives whatever order the first sort left them in
+        shift = (n - 1).bit_length()
         key = group * 2 + 1
         key -= np.take(sample.delta, rows)
-        key *= n
-        key += order
+        key <<= shift
+        key |= order
         key.sort(axis=-1)
-        order = np.remainder(key, n, out=key)
+        order = np.bitwise_and(key, (1 << shift) - 1, out=key)
         rows = order + offsets
         y = np.take(sample.y, rows)
     for a in (order, group, first, stop):

@@ -63,29 +63,35 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
 
 def _tail_terms(sorted_sample: SortedSample) -> tuple:
     """Sample-only part of psi, with one table slot per tie group in row order and
-    ``width`` (the most groups of any replication) slots per replication: each
-    group's slot and each row's; each row's 1 - G(Y-), +inf on censored rows so that
-    dividing by it also multiplies by delta; per slot 1 - H and (1 - H)^2 over the
-    censored count, +inf on a top group, past a replication's last group and (the
+    ``width`` (the most groups of any replication) slots per replication: each group's
+    slot and each slot's row count (``...`` and None when each group is one row, so each
+    slot is its row and no index is kept); each row's 1 - G(Y-), +inf on censored rows
+    so that dividing by it also multiplies by delta; per slot 1 - H and (1 - H)^2 over
+    the censored count, +inf on a top group, past a replication's last group and (the
     second) on a group with no censored row; per row 1 - delta."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
-    group, first, stop = sorted_sample.group, sorted_sample.first, sorted_sample.stop
-    rep = first // n  # each group's replication
+    first, stop = sorted_sample.first, sorted_sample.stop
+    rep, size = first // n, stop - first  # each group's replication and row count
+    censored = 1.0 - delta
     # G(Y-) of a row is G at the tie group below its own, and 0 in its replication's lowest group
     below = np.concatenate(([0.0], censoring_km(sorted_sample)[:-1]))
-    denom_g = np.where(delta == 0, np.inf, 1.0 - np.where(first == rep * n, 0.0, below)[group])
-    local = np.arange(first.shape[0]) - np.searchsorted(first, np.arange(0, delta.size, n))[rep]
-    width = local.max() + 1
-    slot = rep * width + local
+    surv_g = 1.0 - np.where(first == rep * n, 0.0, below)
+    slot, counts, width, count = ..., None, n, censored.ravel()  # count: censored rows per group
+    if first.shape[0] < delta.size:  # ties: group-level values repeat over their rows
+        local = np.arange(first.shape[0]) - np.searchsorted(first, np.arange(0, delta.size, n))[rep]
+        width = local.max() + 1
+        slot = rep * width + local
+        counts = np.zeros(delta.size // n * width, dtype=size.dtype)
+        counts[slot] = size
+        surv_g, count = np.repeat(surv_g, size), np.add.reduceat(count, first)
+    denom_g = np.where(delta == 0, np.inf, surv_g.reshape(delta.shape))
     surv_h = (n - (stop - rep * n)) / n  # 1 - H(Y) on each group
     surv_h[surv_h == 0.0] = np.inf  # the top group, whose suffix sum is +0.0
-    count = np.bincount(group.ravel(), weights=(delta == 0).ravel())  # censored rows
     tables = np.full((2, delta.size // n * width), np.inf)
     with np.errstate(divide="ignore"):  # +inf on a group with no censored row
-        tables[:, slot] = surv_h, surv_h**2 / count
+        tables[0, slot], tables[1, slot] = surv_h, surv_h**2 / count
     denom_h, denom_h2 = tables.reshape((2,) + delta.shape[:-1] + (width,))
-    rows = group if slot.shape[0] == denom_h.size else np.take(slot, group)
-    return slot, rows, denom_g, denom_h, denom_h2, 1.0 - delta
+    return slot, counts, denom_g, denom_h, denom_h2, censored
 
 
 def compute_psi(
@@ -102,18 +108,17 @@ def compute_psi(
 
     The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
 
-    Per sample, computed by the first call and kept on the sorted sample: the
-    censoring KM fit, the 1 - G and 1 - H denominators, each tie group's slot,
-    and (1 - H)^2 over its censored count.  Per fit, on every call: the summands
-    c, gamma1's suffix and gamma2's prefix sums over the tie groups and, when some
-    group has two or more rows, c's sum over each group and the gathers to rows.
+    Per sample, computed by the first call and kept on the sorted sample: the censoring
+    KM fit, the 1 - G and 1 - H denominators, (1 - H)^2 over each tie group's censored
+    count and, if tied, each group's slot and each slot's row count.  Per fit, on every
+    call: the summands c, gamma1's suffix and gamma2's prefix sums over the tie groups
+    and, if tied, c's sum over each group and its gathers to rows by ``np.repeat``.
     """
     base = sorted_sample.base
     y, x = base.y, base.x
     n, p = base.n, base.p
     tails = _memo(sorted_sample, ("psi",), lambda: _tail_terms(sorted_sample))
-    slot, rows, denom_g, denom_h, denom_h2, censored = tails
-    tied = slot.shape[0] < y.size
+    slot, counts, denom_g, denom_h, denom_h2, censored = tails
 
     # everything below is (p, rows) or (p, slots), with a block's replication axis
     # after p, so each pass runs along the long axis
@@ -130,7 +135,7 @@ def compute_psi(
     # into its slot, zero past a replication's last group.  Untied, the sums and the
     # gathers would give the same bits at 1.7x the cost, so c is its own group sum
     sums = c
-    if tied:
+    if counts is not None:
         sums = np.zeros((p,) + denom_h.shape)
         sums.reshape(p, -1)[:, slot] = np.add.reduceat(c.reshape(p, -1), sorted_sample.first, -1)
     # gamma1's suffix sums: suf[..., j] = sum of c over the groups above group j
@@ -149,14 +154,14 @@ def compute_psi(
     pre /= n**2  # gamma2 on each group
     suf /= n * denom_h  # gamma1 on each group
 
-    # (1 - delta) gamma1 + c - gamma2, built in c's buffer; untied, each slot is its row
+    # (1 - delta) gamma1 + c - gamma2, built in c's buffer; tied, each slot repeats over its rows
     psi = c
-    gathered = np.take(suf.reshape(p, -1), rows, 1) if tied else suf
+    gathered = suf if counts is None else np.repeat(suf.reshape(p, -1), counts, 1).reshape(c.shape)
     del suf
     gathered *= censored
     psi += gathered
     del gathered
-    psi -= np.take(pre.reshape(p, -1), rows, 1) if tied else pre
+    psi -= pre if counts is None else np.repeat(pre.reshape(p, -1), counts, 1).reshape(c.shape)
     return np.moveaxis(psi, 0, -1)
 
 

@@ -40,7 +40,9 @@ def km_weights(sorted_sample: SortedSample) -> WeightedDesign:
     running[..., 1:] = _product_limit(delta == 1)[..., :-1]
     w = delta / (n - np.arange(n, dtype=float)) * running
     sqrt_w = np.sqrt(w)
-    xw = base.x * sqrt_w[..., None]
+    xw = np.empty(base.x.shape)
+    for k in range(base.p):  # one column at a time: a broadcast over p = 2 is slow
+        np.multiply(base.x[..., k], sqrt_w, out=xw[..., k])
     yw = base.y * sqrt_w
     for a in (w, sqrt_w, xw, yw):
         a.flags.writeable = False

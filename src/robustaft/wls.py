@@ -69,8 +69,9 @@ class WeightedDesign:
 
 
 def _gram_inverse(xw: np.ndarray, keep: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    if keep is not None:
-        xw = np.where(keep[..., None], xw, 0.0)
+    if keep is not None:  # zero the dropped rows of a copy, indexed by row
+        xw = xw.copy()
+        xw.reshape(-1, xw.shape[-1])[np.flatnonzero(~keep)] = 0.0
     gram = np.swapaxes(xw, -1, -2) @ xw
     eigs, vecs = np.linalg.eigh(gram)
     # dividing by NaN makes a singular Gram's inverse all NaN, without a warning

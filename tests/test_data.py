@@ -140,6 +140,22 @@ class TestSort:
             assert np.array_equal(stop[group], right + at)
             assert np.array_equal(group, np.repeat(np.arange(first.size), stop - first))
 
+    @pytest.mark.parametrize("kind", ["all-tied", "half-grid"])
+    @pytest.mark.parametrize("n", [1024, 1025, 65536, 65537])
+    def test_one_key_sort_is_lexsort_at_the_keys_width_boundaries(self, n, kind):
+        """The row index fills the key's low bits exactly (n = 2 ** k) or needs one
+        more bit (n = 2 ** k + 1): ``perm`` is still ``lexsort((-delta, y))``'s, for
+        a sample and for a 3-replication block."""
+        rng = np.random.default_rng(n)
+        y = rng.normal(size=(3, n)) * 2.0
+        y = np.full(y.shape, 1.5) if kind == "all-tied" else np.round(y * 2.0) / 2.0
+        delta = (rng.random((3, n)) < 0.6).astype(np.int64)
+        for sample in (data._adopt(y=y, delta=delta, x=np.ones((3, n, 1))),
+                       make_sample(y[1], delta[1])):
+            ss = sort_sample(sample)
+            assert np.array_equal(ss.perm, np.lexsort((-sample.delta, sample.y), axis=-1))
+            assert np.array_equal(ss.base.y, np.take_along_axis(sample.y, ss.perm, -1))
+
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("reps", [None, 3])

@@ -201,6 +201,39 @@ class TestComputePsi:
             compute_psi(ss, np.zeros(sample.p))
 
 
+    def test_an_untied_sample_keeps_no_row_index_and_never_gathers(self, monkeypatch):
+        """Untied, psi's cached tail terms are four n-row float arrays, with no n-long
+        integer array, and psi gathers nothing; tied, they hold one row count per
+        slot, which add up to n."""
+        raw = generate_sample(DgpConfig(n=20_000, mu=2.0, seed=3))
+        ss = sort_sample(raw)
+        assert ss.first.shape[0] == raw.n
+        tracemalloc.start()
+        try:
+            tails = _tail_terms(ss)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(a, np.ndarray) and a.dtype.kind in "iu" and a.size >= raw.n
+                       for a in tails)
+        assert held <= 4.5 * raw.n * 8
+        beta = stute_fit(ss, km_weights(ss)).beta
+        want = compute_psi(ss, beta)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("psi gathered on an untied sample")
+
+        monkeypatch.setattr(np, "take", refuse)
+        monkeypatch.setattr(np, "repeat", refuse)
+        assert compute_psi(ss, beta).tobytes() == want.tobytes()
+        monkeypatch.undo()
+
+        tied = sort_sample(SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x))
+        _, counts, _, denom_h, _, _ = _tail_terms(tied)
+        assert counts.shape == denom_h.shape == tied.first.shape
+        assert counts.sum() == raw.n and counts.dtype.kind == "i"
+
+
 class TestSandwichCi:
     def test_penalized_sandwich_peaks_below_three_and_a_half_n_row_arrays(self):
         """With the tail terms and the bread already cached, the penalized fit's
@@ -343,6 +376,36 @@ class TestSandwichCi:
             "ci_lower": ["0x1.d1755ae3d800ap-1", "0x1.8335f8a8a0190p-4"],
             "ci_upper": ["0x1.519d41cba283fp+0", "0x1.2677da9f8d7e5p+0"],
         }
+
+    def test_penalized_and_two_step_sandwiches_are_pinned_to_the_bit_on_a_tied_sample(self):
+        """The Stute pin's tied sample: 104 clamped rows and 12 flagged ones, so both
+        breads are Grams of kept rows and psi's residuals carry nonzero shifts."""
+        raw = generate_sample(DgpConfig(n=2000, mu=2.0, seed=_cell_seed(11, 0, 0)))
+        ss = sort_sample(SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x))
+        kw = km_weights(ss)
+        pen = fit_penalized(ss, kw)
+        two = fit_two_step(ss, kw, pen)
+        assert (np.count_nonzero(pen.alpha_w), two.outliers.size) == (104, 12)
+        got = [{name: [float(v).hex() for v in np.ravel(getattr(sandwich_ci(ss, kw, fit), name))]
+                for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper")} for fit in (pen, two)]
+        assert got == [
+            {
+                "sigma_hat": ["0x1.946c55f635c83p-1", "0x1.a65bc902adf8fp-2",
+                              "0x1.a65bc902adf8fp-2", "0x1.3f8b29e0b139ep-2"],
+                "cov_beta": ["0x1.aaf815df254a6p-9", "-0x1.6b0caa6db22a8p-8",
+                             "-0x1.6b0caa6db22a8p-8", "0x1.7967dbf7a340ep-7"],
+                "ci_lower": ["0x1.89dc809ecd4c3p-1", "0x1.96af5cbf622a0p-1"],
+                "ci_upper": ["0x1.fc690bd55a35bp-1", "0x1.3709b6af2b7bcp+0"],
+            },
+            {
+                "sigma_hat": ["0x1.92d0928453022p+0", "0x1.9aee77fff361cp-1",
+                              "0x1.9aee77fff361cp-1", "0x1.2fe8e3d9dd71dp-1"],
+                "cov_beta": ["0x1.3986a9c7b2251p-8", "-0x1.fa322235eb394p-8",
+                             "-0x1.fa322235eb394p-8", "0x1.edb5517a93594p-7"],
+                "ci_lower": ["0x1.8bbef96064ac1p-1", "0x1.d3cdff5889e3cp-1"],
+                "ci_upper": ["0x1.0b48277b506d7p+0", "0x1.651436badc730p+0"],
+            },
+        ]
 
     def test_stute_sandwich_is_pinned_to_the_bit_on_an_untied_sample(self):
         """The tied test's draw, unrounded: every tie group is one row, so psi's

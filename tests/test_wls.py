@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from robustaft import (
     wls_solve,
 )
 from robustaft.simulation import BETA, _cell_seed, _draw
-from robustaft.wls import _singular
+from robustaft.wls import _gram_inverse, _singular
 from oracles import ols_lstsq
 
 
@@ -79,6 +81,27 @@ class TestWeightedDesign:
             gram = everything[0]
             assert np.array_equal(gram, np.swapaxes(design.xw, -1, -2) @ design.xw)
             assert not gram.flags.writeable
+
+
+    def test_kept_row_gram_of_a_block_is_the_zeroed_designs(self):
+        """Rows dropped by ``keep`` count as zero rows: the Gram, its inverse and its
+        eigenvalues have the bits of the design with those rows zeroed, in a block
+        whose replications keep every row, none and some; the one that keeps none
+        gets a NaN inverse, without a warning."""
+        seeds = [_cell_seed(4, 0, j) for j in range(3)]
+        design = km_weights(sort_sample(_draw(DgpConfig(n=60), seeds)))
+        keep = np.ones(design.w.shape, bool)
+        keep[1] = False
+        keep[2] = np.random.default_rng(0).random(60) < 0.7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = design.inverse(keep)
+        want = _gram_inverse(np.where(keep[..., None], design.xw, 0.0), None)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        inv = got[1]
+        assert np.isnan(inv[1]).all() and np.isfinite(inv[[0, 2]]).all()
+        assert not np.array_equal(got[0][0], got[0][2])
 
 
 class TestWlsSolve:
