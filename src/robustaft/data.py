@@ -114,16 +114,14 @@ class SortedSample:
     ``perm`` maps sorted position -> original row index, so
     ``base.y[i] == original.y[perm[i]]``.  Within a tie group of equal y,
     uncensored observations come first (deaths before censorings, the
-    standard Kaplan-Meier convention).  Sorted row i lies in tie group
-    ``group[i]``, which spans rows ``first[g]:stop[g]``.  In a block the tie
-    groups of all replications are numbered in one sequence, and ``first``
-    and ``stop`` are offsets into the flattened (R * n) rows, so a group
-    never spans two replications.
+    standard Kaplan-Meier convention).  Tie group g spans rows
+    ``first[g]:stop[g]``.  In a block the tie groups of all replications are
+    numbered in one sequence, and ``first`` and ``stop`` are offsets into the
+    flattened (R * n) rows, so a group never spans two replications.
     """
 
     base: SurvivalSample
     perm: np.ndarray
-    group: np.ndarray
     first: np.ndarray
     stop: np.ndarray
 
@@ -134,8 +132,9 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
 
     The permutation is ``np.lexsort((-delta, y), axis=-1)``'s.  It costs one
     sort of y, plus, only when some tie group has two or more rows, one sort of
-    a key unique to each row, (group * 2 + 1 - delta) << shift | row index with shift =
-    (n - 1).bit_length(): it fits in int64 up to 2 ** 31 rows (R * n * 2 ** shift <= 2 ** 62).
+    a key unique to each row, 2g + 1 - delta per tie group g, shifted left by
+    shift = (n - 1).bit_length() and OR-ed with the row index: it fits in int64 up
+    to 2 ** 31 rows (R * n * 2 ** shift <= 2 ** 62).
     """
     shape, n = sample.y.shape, sample.n
     order = np.argsort(sample.y, axis=-1)
@@ -147,12 +146,11 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
     starts[..., 1:] = y[..., 1:] != y[..., :-1]
     first = np.flatnonzero(starts)
     stop = np.append(first[1:], y.size)
-    group = np.repeat(np.arange(first.shape[0]), stop - first).reshape(shape)
     if first.shape[0] < y.size:
         # a tie: order each group's rows by (delta descending, row index), which a
         # sort of the unique key gives whatever order the first sort left them in
         shift = (n - 1).bit_length()
-        key = group * 2 + 1
+        key = np.repeat(np.arange(1, 2 * first.shape[0], 2), stop - first).reshape(shape)
         key -= np.take(sample.delta, rows)
         key <<= shift
         key |= order
@@ -160,7 +158,7 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
         order = np.bitwise_and(key, (1 << shift) - 1, out=key)
         rows = order + offsets
         y = np.take(sample.y, rows)
-    for a in (order, group, first, stop):
+    for a in (order, first, stop):
         a.flags.writeable = False
     # np.take copies whole rows; fancy indexing gathers x element by element
     base = _adopt(
@@ -168,7 +166,7 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
         delta=np.take(sample.delta, rows),
         x=np.take(sample.x.reshape(-1, sample.p), rows, axis=0),
     )
-    return SortedSample(base=base, perm=order, group=group, first=first, stop=stop)
+    return SortedSample(base=base, perm=order, first=first, stop=stop)
 
 
 def _adopt(y: np.ndarray, delta: np.ndarray, x: np.ndarray) -> SurvivalSample:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -94,11 +96,11 @@ class TestSort:
         for y, delta in cases:
             ss = sort_sample(make_sample(y, delta))
             ys = ss.base.y
-            group, first, stop = ss.group, ss.first, ss.stop
+            first, stop = ss.first, ss.stop
+            group = np.repeat(np.arange(first.size), stop - first)
             assert np.array_equal(first[group], np.searchsorted(ys, ys, side="left"))
             assert np.array_equal(stop[group], np.searchsorted(ys, ys, side="right"))
             assert np.array_equal(ys[first], np.unique(ys))
-            assert np.array_equal(group, np.repeat(np.arange(first.size), stop - first))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -130,7 +132,8 @@ class TestSort:
             ys = ss.base.y.ravel()
             assert ys.tobytes() == np.take_along_axis(sample.y, ss.perm, -1).tobytes()
             # a block's groups never span replications: search each replication's rows
-            group, first, stop = ss.group.ravel(), ss.first, ss.stop
+            first, stop = ss.first, ss.stop
+            group = np.repeat(np.arange(first.size), stop - first)
             rows = ys.reshape(-1, n)
             offsets = np.arange(0, ys.size, n)
             left = np.concatenate([np.searchsorted(r, r, side="left") for r in rows])
@@ -138,7 +141,6 @@ class TestSort:
             at = np.repeat(offsets, n)
             assert np.array_equal(first[group], left + at)
             assert np.array_equal(stop[group], right + at)
-            assert np.array_equal(group, np.repeat(np.arange(first.size), stop - first))
 
     @pytest.mark.parametrize("kind", ["all-tied", "half-grid"])
     @pytest.mark.parametrize("n", [1024, 1025, 65536, 65537])
@@ -161,8 +163,8 @@ class TestSort:
     @pytest.mark.parametrize("reps", [None, 3])
     def test_gathers_match_fancy_indexing(self, p, tied, reps):
         """``base`` holds y[perm], delta[perm] and x[perm] to the bit, for a sample and
-        a block, in fresh C-contiguous read-only arrays, and ``group`` numbers the
-        tie groups in row order."""
+        a block, in fresh C-contiguous read-only arrays, and the tie groups
+        ``first[g]:stop[g]`` cover the rows in order."""
         n = 60
         shape = (n,) if reps is None else (reps, n)
         rng = np.random.default_rng(p + 2 * tied + 4 * (reps is None))
@@ -185,9 +187,27 @@ class TestSort:
         assert x_sorted.flags.c_contiguous and x_sorted.flags.owndata
         assert not x_sorted.flags.writeable
         first, stop = ss.first, ss.stop
-        labels = np.repeat(np.arange(first.size), stop - first).reshape(shape)
-        assert ss.group.dtype == labels.dtype and np.array_equal(ss.group, labels)
+        assert first[0] == 0 and np.array_equal(first[1:], stop[:-1]) and stop[-1] == y.size
         assert first.size < y.size if tied else first.size == y.size
+
+    def test_an_untied_sort_keeps_no_per_row_group_id(self):
+        """A sorted sample describes its tie groups by ``first`` and ``stop`` alone:
+        an untied n = 1e5 sort (p = 2) holds base's y, delta and x, perm, first and
+        stop, seven n-row arrays of 8 bytes, and no per-row group id."""
+        fields = [f.name for f in dataclasses.fields(data.SortedSample)]
+        assert fields == ["base", "perm", "first", "stop"]
+        n = 100_000
+        rng = np.random.default_rng(28)
+        sample = make_sample(rng.normal(size=n), (rng.random(n) < 0.6).astype(int),
+                             rng.normal(size=(n, 2)))
+        tracemalloc.start()
+        try:
+            ss = sort_sample(sample)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ss.first.size == n
+        assert held <= 7.5 * 8 * n
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)

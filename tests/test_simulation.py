@@ -330,7 +330,6 @@ def test_an_all_singular_block_is_all_nan_and_warns_nothing():
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the penalized slope is biased by about -0.08 on clean data at every n; "
     "remove this mark when a fix brings |bias| within 0.02",
 )
