@@ -68,11 +68,11 @@ def _tail_terms(sorted_sample: SortedSample) -> tuple:
     slot is its row and no index is kept); each row's 1 - G(Y-), +inf on censored rows
     so that dividing by it also multiplies by delta; per slot 1 - H and (1 - H)^2 over
     the censored count, +inf on a top group, past a replication's last group and (the
-    second) on a group with no censored row; per row 1 - delta."""
+    second) on a group with no censored row; per row whether it is censored."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
     first, stop = sorted_sample.first, sorted_sample.stop
     rep, size = first // n, stop - first  # each group's replication and row count
-    censored = 1.0 - delta
+    censored = delta == 0
     # G(Y-) of a row is G at the tie group below its own, and 0 in its replication's lowest group
     below = np.concatenate(([0.0], censoring_km(sorted_sample)[:-1]))
     surv_g = 1.0 - np.where(first == rep * n, 0.0, below)
@@ -83,8 +83,8 @@ def _tail_terms(sorted_sample: SortedSample) -> tuple:
         slot = rep * width + local
         counts = np.zeros(delta.size // n * width, dtype=size.dtype)
         counts[slot] = size
-        surv_g, count = np.repeat(surv_g, size), np.add.reduceat(count, first)
-    denom_g = np.where(delta == 0, np.inf, surv_g.reshape(delta.shape))
+        surv_g, count = np.repeat(surv_g, size), np.add.reduceat(count, first, dtype=float)
+    denom_g = np.where(censored, np.inf, surv_g.reshape(delta.shape))
     surv_h = (n - (stop - rep * n)) / n  # 1 - H(Y) on each group
     surv_h[surv_h == 0.0] = np.inf  # the top group, whose suffix sum is +0.0
     tables = np.full((2, delta.size // n * width), np.inf)
@@ -102,8 +102,9 @@ def compute_psi(
     """Influence vectors psi as an (n, p) matrix in sorted order; (R, n, p) for a block.
 
     ``alpha`` holds the per-observation shifts entering the residuals
-    xi_(i) = Y_(i) - X_(i)' beta - alpha_(i); pass None for a fit without
-    shift parameters.  A replication whose ``beta`` is not finite (a failed
+    xi_(i) = Y_(i) - X_(i)' beta - alpha_(i): an array broadcast to y's shape, or a
+    pair (flat rows, shifts) with every other row's shift zero; pass None for a fit
+    without shift parameters.  A replication whose ``beta`` is not finite (a failed
     fit) gets NaN influence vectors.
 
     The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
@@ -125,8 +126,11 @@ def compute_psi(
     # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-)), built in place
     xi = _matvec(x, beta)
     np.subtract(y, xi, out=xi)
-    if alpha is not None:
-        xi -= np.asarray(alpha, dtype=float)
+    if alpha is not None:  # x - 0.0 == x, so only the shifted rows change
+        if not isinstance(alpha, tuple):
+            dense = np.broadcast_to(np.asarray(alpha, dtype=float), xi.shape).ravel()
+            alpha = np.flatnonzero(dense), dense[dense != 0.0]
+        xi.flat[alpha[0]] -= alpha[1]
     xi /= denom_g
     c = np.multiply(np.moveaxis(x, -1, 0), xi, order="C")
     del xi
@@ -154,15 +158,15 @@ def compute_psi(
     pre /= n**2  # gamma2 on each group
     suf /= n * denom_h  # gamma1 on each group
 
-    # (1 - delta) gamma1 + c - gamma2, built in c's buffer; tied, each slot repeats over its rows
-    psi = c
-    gathered = suf if counts is None else np.repeat(suf.reshape(p, -1), counts, 1).reshape(c.shape)
-    del suf
-    gathered *= censored
-    psi += gathered
-    del gathered
-    psi -= pre if counts is None else np.repeat(pre.reshape(p, -1), counts, 1).reshape(c.shape)
-    return np.moveaxis(psi, 0, -1)
+    # c + gamma1 on censored rows - gamma2, built in c's buffer; tied, each slot repeats
+    # over its rows one coefficient (n rows) at a time, so no (p, n) gather is made
+    def to_rows(table):
+        return table if counts is None else np.repeat(table.ravel(), counts).reshape(censored.shape)
+
+    for k in (...,) if counts is None else range(p):
+        np.add(c[k], to_rows(suf[k]), out=c[k], where=censored)
+        c[k] -= to_rows(pre[k])
+    return np.moveaxis(c, 0, -1)
 
 
 def normal_quantile(level: float) -> float:
@@ -198,10 +202,12 @@ def sandwich_ci(
     """
     design = build_weighted_design(sorted_sample, kw)
     z = normal_quantile(level)
-    # a zero-weight row's shift is zero, and a failed replication's stays NaN
+    # unscaled on the shifted rows only: a zero-weight row's shift is 0, a failed fit's NaN
     alpha = None
     if fit.alpha_w.any():
-        alpha = fit.alpha_w / np.where(design.w > 0, design.sqrt_w, np.inf)
+        rows = np.flatnonzero(fit.alpha_w)
+        w = design.w.flat[rows]
+        alpha = rows, fit.alpha_w.flat[rows] / np.where(w > 0, np.sqrt(w), np.inf)
     # one contiguous (p, n) array per replication, so a replication's products
     # are the same whether or not it shares a block
     psi_t = np.ascontiguousarray(np.swapaxes(compute_psi(sorted_sample, fit.beta, alpha), -1, -2))
@@ -212,6 +218,7 @@ def sandwich_ci(
         centered = psi_t  # psi_t is this call's own array: center it in place
         centered -= psi_t.sum(axis=-1, keepdims=True) / n
         sigma_hat = centered @ np.swapaxes(centered, -1, -2) / n
+        del psi_t, centered  # before the kept-row bread copies xw
 
         kept = fit.alpha_w == 0.0
         context = f"sandwich bread over the {np.count_nonzero(kept)} of {n} rows with zero shift"

@@ -44,11 +44,9 @@ def km_weights(sorted_sample: SortedSample) -> WeightedDesign:
     for k in range(base.p):  # one column at a time: a broadcast over p = 2 is slow
         np.multiply(base.x[..., k], sqrt_w, out=xw[..., k])
     yw = base.y * sqrt_w
-    for a in (w, sqrt_w, xw, yw):
+    for a in (w, xw, yw):
         a.flags.writeable = False
-    return WeightedDesign(
-        w=w, sqrt_w=sqrt_w, pi_uc_hat=_per_sample(delta.mean(axis=-1)), xw=xw, yw=yw
-    )
+    return WeightedDesign(w=w, pi_uc_hat=_per_sample(delta.mean(axis=-1)), xw=xw, yw=yw)
 
 
 def _product_limit(event: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import SortedSample, _per_sample
 from .km import lambda_rule
-from .wls import Fit, WeightedDesign, _matvec, build_weighted_design, wls_solve
+from .wls import Fit, WeightedDesign, _adopt_fit, _matvec, build_weighted_design, wls_solve
 
 # Cycles per fit.  10 stop short of the optimum, at a median relative KKT
 # violation of 0.4% (n = 1000, mu = 5); more cycles approach it.
@@ -76,19 +76,13 @@ def fit_penalized(
 
     aw = np.zeros(design.yw.shape)
     trace = []
-    for _ in range(CYCLES):
+    for cycle in range(CYCLES + 1):  # the last pass only refreshes b against the final aw
         beta = wls_solve(design, design.yw - aw)
         resid = design.yw - _matvec(design.xw, beta)
-        aw = soft_threshold_step(resid, lam)
-        trace.append(_objective(resid - aw, aw, lam))
+        if cycle < CYCLES:
+            aw = soft_threshold_step(resid, lam)
+        resid -= aw  # the objective's residual, in place
+        trace.append(_objective(resid, aw, lam))
 
-    beta = wls_solve(design, design.yw - aw)
-    trace.append(_objective(design.yw - _matvec(design.xw, beta) - aw, aw, lam))
-
-    return Fit(
-        beta=beta,
-        alpha_w=aw,
-        lam=lam,
-        iterations=CYCLES,
-        objective_trace=np.array(trace),
-    )
+    trace = np.array(trace)
+    return _adopt_fit(beta=beta, alpha_w=aw, lam=lam, iterations=CYCLES, objective_trace=trace)

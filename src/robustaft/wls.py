@@ -37,18 +37,16 @@ class SingularGramError(Exception):
 class WeightedDesign:
     """Kaplan-Meier weights of a sorted sample and its design scaled by their square roots.
 
-    ``w`` holds the weights w_(i) in [0, 1], zero exactly where delta_(i) = 0;
-    ``sqrt_w`` their square roots; ``pi_uc_hat`` the uncensored fraction
-    mean(delta).  ``xw`` has rows sqrt(w_(i)) X_(i) and ``yw`` entries
-    sqrt(w_(i)) Y_(i); rows with zero weight are exactly zero.  Every Gram
-    matrix comes from ``inverse``.  Made by ``km.km_weights``, which freezes the
-    arrays in place.  A block's design has a leading replication axis on every
-    array, and ``pi_uc_hat`` is then a read-only array with one fraction per
-    replication.
+    ``w`` holds the weights w_(i) in [0, 1], zero exactly where delta_(i) = 0, and
+    ``pi_uc_hat`` the uncensored fraction mean(delta).  ``xw`` has rows
+    sqrt(w_(i)) X_(i) and ``yw`` entries sqrt(w_(i)) Y_(i); rows with zero weight
+    are exactly zero, and the square roots are not kept.  Every Gram matrix comes
+    from ``inverse``.  Made by ``km.km_weights``, which freezes the arrays in
+    place.  A block's design has a leading replication axis on every array, and
+    ``pi_uc_hat`` is then a read-only array with one fraction per replication.
     """
 
     w: np.ndarray
-    sqrt_w: np.ndarray
     pi_uc_hat: float | np.ndarray
     xw: np.ndarray
     yw: np.ndarray
@@ -125,7 +123,9 @@ class Fit:
     entry for the reported pair and is nonincreasing.  A block's fit has a
     leading replication axis on ``beta``, ``alpha_w`` and ``lam``, its trace
     sums the replications' objectives (NaN if any fit failed), and
-    ``outliers`` holds offsets into the flattened (R * n) rows.
+    ``outliers`` holds offsets into the flattened (R * n) rows.  A Fit built by a
+    caller holds read-only copies of its arrays; the package's own fits freeze
+    theirs in place (``_adopt_fit``), and the Stute fit's ``alpha_w`` is a zero view.
     """
 
     beta: np.ndarray
@@ -148,6 +148,17 @@ class Fit:
         return self.beta
 
 
+def _adopt_fit(**fields) -> Fit:
+    """A Fit over arrays the package has just made, frozen in place, not copied (as
+    ``data._adopt`` does for a sample); fields not given keep their class defaults."""
+    fit = object.__new__(Fit)
+    fit.__dict__.update({"outliers": np.empty(0, dtype=np.int64), **fields})
+    for a in fit.__dict__.values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return fit
+
+
 def build_weighted_design(sorted_sample: SortedSample, kw: WeightedDesign) -> WeightedDesign:
     """The weighted design of ``sorted_sample``, which ``km_weights`` built: ``kw``
     itself, after checking that it has one row per observation."""
@@ -166,4 +177,4 @@ def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
 def stute_fit(sorted_sample: SortedSample, kw: WeightedDesign) -> Fit:
     """Kaplan-Meier-weighted least squares of Y on X (the non-robust baseline)."""
     design = build_weighted_design(sorted_sample, kw)
-    return Fit(beta=wls_solve(design, design.yw), alpha_w=np.zeros(design.yw.shape))
+    return _adopt_fit(beta=wls_solve(design, design.yw), alpha_w=np.broadcast_to(0.0, design.yw.shape))

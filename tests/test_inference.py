@@ -110,6 +110,11 @@ class TestComputePsi:
             ours = compute_psi(ss, beta, alpha)
             oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
             assert np.max(np.abs(ours - oracle)) < 1e-12
+            # the shifts as (rows, shifts) pairs, and a scalar shift broadcast to every row
+            pair = compute_psi(ss, beta, (np.flatnonzero(alpha), alpha[alpha != 0.0]))
+            assert pair.tobytes() == ours.tobytes()
+            full = compute_psi(ss, beta, np.full(sample.n, 0.25))
+            assert compute_psi(ss, beta, 0.25).tobytes() == full.tobytes()
 
     def test_tied_instances_match_double_loop(self):
         rng = np.random.default_rng(50)
@@ -238,8 +243,10 @@ class TestComputePsi:
 class TestSandwichCi:
     def test_penalized_sandwich_peaks_below_three_and_a_half_n_row_arrays(self):
         """With the tail terms and the bread already cached, the penalized fit's
-        sandwich holds at most 3.5 (p, n) float arrays at its peak, on a tied n = 2e4
-        sample: each n-row temporary is dropped once it is spent."""
+        sandwich holds at most 2 (p, n) float arrays at its peak, on a tied n = 2e4
+        sample: each n-row temporary is dropped once it is spent, the shift is
+        unscaled on its nonzero rows only and the tied gathers are one n-row
+        array at a time."""
         raw = generate_sample(DgpConfig(n=20_000, mu=2.0, seed=3))
         sample = SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x)
         ss = sort_sample(sample)
@@ -252,7 +259,27 @@ class TestSandwichCi:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * sample.p * sample.n * 8
+        assert peak <= 2.0 * sample.p * sample.n * 8
+
+    def test_a_whole_cell_peaks_below_sixteen_n_row_arrays(self):
+        """From the sort through the three sandwiches, a tied n = 1e5 cell holds at
+        most 16 n-row float arrays at its peak: the sorted sample (4), its
+        permutation, the design (4), two fits' shifts, psi's cached tail terms and
+        one sandwich's working set."""
+        raw = generate_sample(DgpConfig(n=100_000, mu=2.0, seed=3))
+        sample = SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x)
+        tracemalloc.start()
+        try:
+            ss = sort_sample(sample)
+            kw = km_weights(ss)
+            pen = fit_penalized(ss, kw)
+            for fit in (stute_fit(ss, kw), pen, fit_two_step(ss, kw, pen)):
+                sandwich_ci(ss, kw, fit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ss.first.shape[0] < sample.n // 50  # tied: psi gathers its slots to rows
+        assert peak <= 16 * sample.n * 8
 
     def test_constant_design_collapses_to_mean_case(self):
         rng = np.random.default_rng(45)
@@ -304,7 +331,7 @@ class TestSandwichCi:
         pen = fit_penalized(ss, kw)
         two = fit_two_step(ss, kw, pen)
         assert two.outliers.size == 1
-        alpha = two.alpha_w / kw.sqrt_w  # uncensored, so every weight is positive
+        alpha = two.alpha_w / np.sqrt(kw.w)  # uncensored, so every weight is positive
         xi = ss.base.y - ss.base.x @ two.beta - alpha
         assert abs(xi[two.outliers[0]]) < 1e-10
         # the bread is the refit's own Gram matrix: unflagged rows only
@@ -426,6 +453,36 @@ class TestSandwichCi:
             "ci_lower": ["0x1.d1aed3fd9708cp-1", "0x1.7c7bec0158728p-4"],
             "ci_upper": ["0x1.516d3ff007964p+0", "0x1.25643fa349d58p+0"],
         }
+
+    def test_penalized_and_two_step_sandwiches_are_pinned_to_the_bit_on_an_untied_sample(self):
+        """The untied Stute pin's sample: psi's residuals carry the shifts of 104 clamped
+        and 12 flagged rows, and every tie group is one row."""
+        raw = generate_sample(DgpConfig(n=2000, mu=2.0, seed=_cell_seed(11, 0, 0)))
+        ss = sort_sample(raw)
+        kw = km_weights(ss)
+        pen = fit_penalized(ss, kw)
+        two = fit_two_step(ss, kw, pen)
+        assert (np.count_nonzero(pen.alpha_w), two.outliers.size) == (104, 12)
+        got = [{name: [float(v).hex() for v in np.ravel(getattr(sandwich_ci(ss, kw, fit), name))]
+                for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper")} for fit in (pen, two)]
+        assert got == [
+            {
+                "sigma_hat": ["0x1.9439ef701f41fp-1", "0x1.a5f6685c47cbap-2",
+                              "0x1.a5f6685c47cbap-2", "0x1.3f29316b80332p-2"],
+                "cov_beta": ["0x1.a9f3a41ce61d1p-9", "-0x1.6a1473d37c916p-8",
+                             "-0x1.6a1473d37c916p-8", "0x1.784b3d3b91af7p-7"],
+                "ci_lower": ["0x1.8a0b04bb1fb3bp-1", "0x1.963a62edaddffp-1"],
+                "ci_upper": ["0x1.fc749adb4db47p-1", "0x1.36a696274e725p+0"],
+            },
+            {
+                "sigma_hat": ["0x1.8fc03365de1bap+0", "0x1.97e5ebe23a01dp-1",
+                              "0x1.97e5ebe23a01dp-1", "0x1.2dbede264e861p-1"],
+                "cov_beta": ["0x1.36e04aab99f4ep-8", "-0x1.f61a8a7fedc4cp-8",
+                             "-0x1.f61a8a7fedc4cp-8", "0x1.e9f3780541372p-7"],
+                "ci_lower": ["0x1.8be335ba6a95dp-1", "0x1.d3504f72c3253p-1"],
+                "ci_upper": ["0x1.0b0f05f8287bap+0", "0x1.645d2763bdde2p+0"],
+            },
+        ]
 
     def test_a_tied_and_an_untied_sample_in_one_block_match_each_fitted_alone(self):
         """The tied replication has fewer tie groups than the untied one, so its

@@ -32,8 +32,16 @@ def test_hand_example_with_one_censored():
 
 
 def test_sqrt_weights():
-    kw = weights_for([1, 0, 1, 1])
-    assert np.allclose(kw.sqrt_w, np.sqrt(kw.w), atol=1e-15)
+    """The design scales each sorted row by the square root of its weight, to the bit,
+    one column at a time; a censored row is exactly zero."""
+    rng = np.random.default_rng(3)
+    x = np.column_stack([np.ones(6), rng.normal(size=6)])
+    ss = sort_sample(SurvivalSample(y=rng.normal(size=6), delta=np.array([1, 0, 1, 1, 0, 1]), x=x))
+    kw = km_weights(ss)
+    sqrt_w = np.sqrt(kw.w)
+    assert kw.xw.tobytes() == (ss.base.x * sqrt_w[:, None]).tobytes()
+    assert kw.yw.tobytes() == (ss.base.y * sqrt_w).tobytes()
+    assert not kw.xw[ss.base.delta == 0].any() and not kw.yw[ss.base.delta == 0].any()
 
 
 def test_exhaustive_small_samples_match_oracle():

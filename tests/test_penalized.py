@@ -165,6 +165,18 @@ class TestFitPenalized:
         assert np.allclose(block.objective_trace, total, rtol=1e-12, atol=0.0)
         assert np.all(np.diff(block.objective_trace) <= 1e-10)
 
+    def test_objective_trace_is_pinned_to_the_bit(self):
+        """Each entry sums n squared residuals and n shifts, so computing either in
+        another order would change the last bits."""
+        raw = generate_sample(DgpConfig(n=2000, mu=2.0, seed=_cell_seed(11, 0, 0)))
+        fit = fit_penalized(*prepare(raw))
+        assert [float(v).hex() for v in fit.objective_trace] == [
+            "0x1.3e9abeebb90efp+0", "0x1.3bdae400d0820p+0", "0x1.3bc9a61b3ead1p+0",
+            "0x1.3bc8f8ade79eap+0", "0x1.3bc8ef626d216p+0", "0x1.3bc8eed41194cp+0",
+            "0x1.3bc8eecb44be0p+0", "0x1.3bc8eecab84a4p+0", "0x1.3bc8eecaaf83dp+0",
+            "0x1.3bc8eecaaef76p+0", "0x1.3bc8eecaaef06p+0",
+        ]
+
     def test_a_block_design_and_its_levels_are_read_only(self):
         """A write to a block's uncensored fractions or levels would move later fits."""
         block = _draw(DgpConfig(n=200, mu=2.0), [_cell_seed(5, 0, j) for j in range(3)])

@@ -5,6 +5,7 @@ import pytest
 
 from robustaft import (
     DgpConfig,
+    Fit,
     SingularGramError,
     SurvivalSample,
     build_weighted_design,
@@ -64,7 +65,7 @@ class TestWeightedDesign:
         # weighting the sample again builds equal arrays
         other = km_weights(ss)
         assert other is not kw
-        for name in ("w", "sqrt_w", "xw", "yw"):
+        for name in ("w", "xw", "yw"):
             assert np.array_equal(getattr(other, name), getattr(kw, name))
         # a design of another sample is refused
         longer, _ = sorted_with_weights([1.0, 2.0, 3.0, 4.0, 5.0], [1] * 5, np.ones((5, 2)))
@@ -208,3 +209,25 @@ class TestStuteFit:
         errors = np.array(errors)
         assert errors.mean() < -0.3
         assert np.mean(errors < 0.0) >= 0.9
+
+
+class TestFit:
+    def test_a_callers_arrays_are_copied_and_the_packages_frozen_in_place(self):
+        """A Fit built by a caller copies ``beta`` and ``alpha_w``, so the caller's
+        arrays stay writeable and unaliased; the package's own fits hold read-only
+        arrays, the Stute fit's shifts a zero view with no rows of its own."""
+        beta, alpha_w = np.array([1.0, 2.0]), np.array([0.0, 0.5, 0.0])
+        fit = Fit(beta=beta, alpha_w=alpha_w)
+        for mine, held in ((beta, fit.beta), (alpha_w, fit.alpha_w)):
+            assert mine.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(mine, held)
+        beta[0] = alpha_w[1] = 9.0
+        assert fit.beta[0] == 1.0 and fit.alpha_w[1] == 0.5
+
+        rng = np.random.default_rng(7)
+        ss, kw = sorted_with_weights(rng.normal(size=8), np.ones(8, dtype=int), np.ones((8, 1)))
+        stute = stute_fit(ss, kw)
+        for a in (stute.beta, stute.alpha_w, stute.outliers):
+            assert not a.flags.writeable
+        assert stute.alpha_w.shape == (8,) and stute.alpha_w.strides == (0,)
+        assert not stute.alpha_w.any() and stute.outliers.shape == (0,)
