@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -29,11 +29,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _per_sample(a: np.ndarray):
     """A sample's value as a Python float; a block's values, one per replication, as
-    the fresh array ``a``, made read-only in place."""
-    if np.ndim(a) == 0:
-        return float(a)
-    a.flags.writeable = False
-    return a
+    the array ``a`` itself (the record that holds it, built by ``_adopt``, freezes it)."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _adopt(cls, **values):
+    """A record of the frozen dataclass ``cls`` over values the package has just made
+    (for a sample, rows gathered from a valid sample or a drawn block that passed
+    ``_check_entries``): arrays frozen in place, nothing checked or copied, and each
+    field not given its class default.  A caller's arrays go through ``cls(...)``."""
+    for f in fields(cls):
+        if f.name not in values:  # a required field left out raises TypeError here
+            values[f.name] = f.default_factory() if f.default is MISSING else f.default
+    for a in values.values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    record = object.__new__(cls)
+    record.__dict__.update(values)
+    return record
 
 
 def _text(value) -> str:
@@ -158,26 +171,14 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
         order = np.bitwise_and(key, (1 << shift) - 1, out=key)
         rows = order + offsets
         y = np.take(sample.y, rows)
-    for a in (order, first, stop):
-        a.flags.writeable = False
     # np.take copies whole rows; fancy indexing gathers x element by element
     base = _adopt(
+        SurvivalSample,
         y=y,
         delta=np.take(sample.delta, rows),
         x=np.take(sample.x.reshape(-1, sample.p), rows, axis=0),
     )
-    return SortedSample(base=base, perm=order, first=first, stop=stop)
-
-
-def _adopt(y: np.ndarray, delta: np.ndarray, x: np.ndarray) -> SurvivalSample:
-    """A sample or block over fresh arrays that already pass ``SurvivalSample``'s
-    checks (rows gathered from a valid sample, or a drawn block that passed
-    ``_check_entries``): frozen in place, not checked or copied."""
-    sample = object.__new__(SurvivalSample)
-    for name, a in (("y", y), ("delta", delta), ("x", x)):
-        a.flags.writeable = False
-        object.__setattr__(sample, name, a)
-    return sample
+    return _adopt(SortedSample, base=base, perm=order, first=first, stop=stop)
 
 
 # The bytes a body may hold for the bulk parse.  On this alphabet every table

@@ -30,7 +30,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import SortedSample, _frozen, _memo
+from .data import SortedSample, _adopt, _frozen, _memo
 from .km import _product_limit
 from .wls import Fit, WeightedDesign, _checked_inverse, _matvec, build_weighted_design
 
@@ -226,8 +226,9 @@ def sandwich_ci(
         cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
         cov_beta = (cov_beta + np.swapaxes(cov_beta, -1, -2)) / 2.0
         std_errors = np.sqrt(np.clip(np.diagonal(cov_beta, axis1=-2, axis2=-1), 0.0, None))
-    inf = InferenceResult(
-        beta=np.array(fit.beta),
+    inf = _adopt(
+        InferenceResult,
+        beta=fit.beta,
         sigma_x_hat=sigma_x,
         sigma_hat=sigma_hat,
         cov_beta=cov_beta,

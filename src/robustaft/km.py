@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import SortedSample, _per_sample
+from .data import SortedSample, _adopt, _per_sample
 from .wls import WeightedDesign
 
 # The penalty rule's constant: n ** LAMBDA0 <= 1.002 for n <= 1e8, so it is fixed.
@@ -44,9 +44,7 @@ def km_weights(sorted_sample: SortedSample) -> WeightedDesign:
     for k in range(base.p):  # one column at a time: a broadcast over p = 2 is slow
         np.multiply(base.x[..., k], sqrt_w, out=xw[..., k])
     yw = base.y * sqrt_w
-    for a in (w, xw, yw):
-        a.flags.writeable = False
-    return WeightedDesign(w=w, pi_uc_hat=_per_sample(delta.mean(axis=-1)), xw=xw, yw=yw)
+    return _adopt(WeightedDesign, w=w, pi_uc_hat=_per_sample(delta.mean(axis=-1)), xw=xw, yw=yw)
 
 
 def _product_limit(event: np.ndarray) -> np.ndarray:

@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from .data import SortedSample, _per_sample
+from .data import SortedSample, _adopt, _per_sample
 from .km import lambda_rule
-from .wls import Fit, WeightedDesign, _adopt_fit, _matvec, build_weighted_design, wls_solve
+from .wls import Fit, WeightedDesign, _matvec, build_weighted_design, wls_solve
 
 # Cycles per fit.  10 stop short of the optimum, at a median relative KKT
 # violation of 0.4% (n = 1000, mu = 5); more cycles approach it.
@@ -72,7 +72,8 @@ def fit_penalized(
     n = design.yw.shape[-1]
     if lam is None:
         levels = [lambda_rule(n, float(pi)) for pi in np.ravel(design.pi_uc_hat)]
-        lam = _per_sample(np.reshape(levels, np.shape(design.pi_uc_hat)))
+        lam = np.reshape(levels, np.shape(design.pi_uc_hat))
+    lam = _per_sample(np.array(lam, dtype=float))  # the Fit freezes a copy, not the caller's array
 
     aw = np.zeros(design.yw.shape)
     trace = []
@@ -85,4 +86,4 @@ def fit_penalized(
         trace.append(_objective(resid, aw, lam))
 
     trace = np.array(trace)
-    return _adopt_fit(beta=beta, alpha_w=aw, lam=lam, iterations=CYCLES, objective_trace=trace)
+    return _adopt(Fit, beta=beta, alpha_w=aw, lam=lam, iterations=CYCLES, objective_trace=trace)

@@ -118,7 +118,7 @@ def generate_sample(cfg: DgpConfig) -> SurvivalSample:
     bit-identical samples.
     """
     block = _draw(cfg, [cfg.seed])
-    return _adopt(y=block.y[0], delta=block.delta[0], x=block.x[0])
+    return _adopt(SurvivalSample, y=block.y[0], delta=block.delta[0], x=block.x[0])
 
 
 def _draw(cfg: DgpConfig, seeds) -> SurvivalSample:
@@ -139,7 +139,7 @@ def _draw(cfg: DgpConfig, seeds) -> SurvivalSample:
     y = np.minimum(t, censor)
     delta = (t <= censor).astype(np.int64)
     _check_entries(y, delta, x)
-    return _adopt(y=y, delta=delta, x=x)
+    return _adopt(SurvivalSample, y=y, delta=delta, x=x)
 
 
 def _cell_seed(base_seed: int, mu_index: int, rep_index: int) -> int:

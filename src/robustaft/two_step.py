@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import SortedSample
-from .wls import Fit, WeightedDesign, _adopt_fit, _checked_inverse, _matvec, build_weighted_design
+from .data import SortedSample, _adopt
+from .wls import Fit, WeightedDesign, _checked_inverse, _matvec, build_weighted_design
 
 DEFAULT_TAU0 = 0.3
 
@@ -42,4 +42,4 @@ def fit_two_step(sorted_sample: SortedSample, kw: WeightedDesign, fit: Fit) -> F
 
     alpha_w = np.zeros(design.yw.shape)
     alpha_w.flat[outliers] = (design.yw - _matvec(design.xw, beta)).flat[outliers]
-    return _adopt_fit(beta=beta, alpha_w=alpha_w, outliers=outliers)
+    return _adopt(Fit, beta=beta, alpha_w=alpha_w, outliers=outliers)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SortedSample, _frozen, _memo
+from .data import SortedSample, _adopt, _frozen, _memo
 
 # Relative eigenvalue cutoff below which the Gram matrix is treated as singular.
 GRAM_RTOL = 1e-12
@@ -41,8 +41,8 @@ class WeightedDesign:
     ``pi_uc_hat`` the uncensored fraction mean(delta).  ``xw`` has rows
     sqrt(w_(i)) X_(i) and ``yw`` entries sqrt(w_(i)) Y_(i); rows with zero weight
     are exactly zero, and the square roots are not kept.  Every Gram matrix comes
-    from ``inverse``.  Made by ``km.km_weights``, which freezes the arrays in
-    place.  A block's design has a leading replication axis on every array, and
+    from ``inverse``.  Made by ``km.km_weights``, whose arrays ``data._adopt`` freezes
+    in place.  A block's design has a leading replication axis on every array, and
     ``pi_uc_hat`` is then a read-only array with one fraction per replication.
     """
 
@@ -124,8 +124,8 @@ class Fit:
     leading replication axis on ``beta``, ``alpha_w`` and ``lam``, its trace
     sums the replications' objectives (NaN if any fit failed), and
     ``outliers`` holds offsets into the flattened (R * n) rows.  A Fit built by a
-    caller holds read-only copies of its arrays; the package's own fits freeze
-    theirs in place (``_adopt_fit``), and the Stute fit's ``alpha_w`` is a zero view.
+    caller holds read-only copies of its arrays; the package's own fits are adopted
+    (``data._adopt`` freezes them in place), and the Stute fit's ``alpha_w`` is a zero view.
     """
 
     beta: np.ndarray
@@ -148,17 +148,6 @@ class Fit:
         return self.beta
 
 
-def _adopt_fit(**fields) -> Fit:
-    """A Fit over arrays the package has just made, frozen in place, not copied (as
-    ``data._adopt`` does for a sample); fields not given keep their class defaults."""
-    fit = object.__new__(Fit)
-    fit.__dict__.update({"outliers": np.empty(0, dtype=np.int64), **fields})
-    for a in fit.__dict__.values():
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return fit
-
-
 def build_weighted_design(sorted_sample: SortedSample, kw: WeightedDesign) -> WeightedDesign:
     """The weighted design of ``sorted_sample``, which ``km_weights`` built: ``kw``
     itself, after checking that it has one row per observation."""
@@ -177,4 +166,5 @@ def wls_solve(design: WeightedDesign, target_w: np.ndarray) -> np.ndarray:
 def stute_fit(sorted_sample: SortedSample, kw: WeightedDesign) -> Fit:
     """Kaplan-Meier-weighted least squares of Y on X (the non-robust baseline)."""
     design = build_weighted_design(sorted_sample, kw)
-    return _adopt_fit(beta=wls_solve(design, design.yw), alpha_w=np.broadcast_to(0.0, design.yw.shape))
+    beta = wls_solve(design, design.yw)
+    return _adopt(Fit, beta=beta, alpha_w=np.broadcast_to(0.0, design.yw.shape))

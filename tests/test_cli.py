@@ -234,13 +234,52 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(GOLDEN))
-def test_fit_output_is_pinned_to_the_byte(capsys, tmp_path, fmt):
+# the CI workflow's 12-row CSV: its last two rows tie in y, the censored one first
+TIED_CSV = SMALL_CSV + "1.6,0,1,0.35\n1.6,1,1,0.45\n"
+TIED_HEAD = ["n           12", "p           2", "pi_uc_hat   0.75"]
+TIED_LAMBDA = ["lambda      0.3939262763696897", "iterations  10", "tau0        0.3"]
+TIED_OUTLIER = ["outliers (original row, alpha_w):", "  7  -2.0870508551604936"]
+COEF_HEADER = GOLDEN["table"][7]
+
+TIED_GOLDEN = {
+    "stute": [
+        "method      stute", *TIED_HEAD, COEF_HEADER,
+        "x1    1.0795513117796687        0.4200974520495551        0.2561754357654985        "
+        "1.9029271877938387        ",
+        "x2    0.1866891701619277        1.2007916709861703        -2.166819257906636        "
+        "2.540197598230491         ",
+    ],
+    "penalized": [
+        "method      penalized", *TIED_HEAD, *TIED_LAMBDA, COEF_HEADER,
+        "x1    1.1840352287861697        0.09941128167194101       0.9891926970521987        "
+        "1.3788777605201408        ",
+        "x2    1.0400304859063354        0.1616117538956058        0.7232772687925972        "
+        "1.3567837030200736        ",
+        *TIED_OUTLIER,
+    ],
+    "two-step": [
+        "method      two-step", *TIED_HEAD, *TIED_LAMBDA, COEF_HEADER,
+        "x1    1.1949558995029481        0.09643359336073681       1.0059495296161232        "
+        "1.383962269389773         ",
+        "x2    1.1292218158761778        0.1368665499076609        0.8609683073689086        "
+        "1.3974753243834468        ",
+        *TIED_OUTLIER,
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "text, options, golden",
+    [(SMALL_CSV, ["--format", fmt], GOLDEN[fmt]) for fmt in sorted(GOLDEN)]
+    + [(TIED_CSV, ["--method", m, "--format", "table"], TIED_GOLDEN[m]) for m in sorted(TIED_GOLDEN)],
+    ids=[*sorted(GOLDEN), *(f"tied-{m}" for m in sorted(TIED_GOLDEN))],
+)
+def test_fit_output_is_pinned_to_the_byte(capsys, tmp_path, text, options, golden):
     path = tmp_path / "small.csv"
-    path.write_text(SMALL_CSV)
-    rc, out, err = run_cli(capsys, ["fit", str(path), "--format", fmt])
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, ["fit", str(path), *options])
     assert (rc, err) == (0, "")
-    assert out == "\n".join(GOLDEN[fmt]) + "\n"
+    assert out == "\n".join(golden) + "\n"
 
 
 @pytest.mark.parametrize(

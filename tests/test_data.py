@@ -124,7 +124,7 @@ class TestSort:
             y[rng.integers(reps)] = np.round(y[0])
         delta = (rng.random((reps, n)) < 0.6).astype(np.int64)
         x = np.ones((reps, n, 1))
-        samples = [data._adopt(y=y, delta=delta, x=x)]
+        samples = [data._adopt(SurvivalSample, y=y, delta=delta, x=x)]
         samples += [make_sample(y[r], delta[r]) for r in range(reps)]
         for sample in samples:
             ss = sort_sample(sample)
@@ -152,7 +152,7 @@ class TestSort:
         y = rng.normal(size=(3, n)) * 2.0
         y = np.full(y.shape, 1.5) if kind == "all-tied" else np.round(y * 2.0) / 2.0
         delta = (rng.random((3, n)) < 0.6).astype(np.int64)
-        for sample in (data._adopt(y=y, delta=delta, x=np.ones((3, n, 1))),
+        for sample in (data._adopt(SurvivalSample, y=y, delta=delta, x=np.ones((3, n, 1))),
                        make_sample(y[1], delta[1])):
             ss = sort_sample(sample)
             assert np.array_equal(ss.perm, np.lexsort((-sample.delta, sample.y), axis=-1))
@@ -176,7 +176,7 @@ class TestSort:
         if reps is None:
             sample = SurvivalSample(y=y, delta=delta, x=x)
         else:
-            sample = data._adopt(y=y, delta=delta, x=x)
+            sample = data._adopt(SurvivalSample, y=y, delta=delta, x=x)
         ss = sort_sample(sample)
         rows = ss.perm + np.arange(0, y.size, n).reshape(shape[:-1] + (1,))
         want = (sample.y.ravel()[rows], sample.delta.ravel()[rows], sample.x.reshape(-1, p)[rows])

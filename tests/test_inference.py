@@ -170,7 +170,7 @@ class TestComputePsi:
         if reps == 1:
             ss = sort_sample(SurvivalSample(y=y[0], delta=delta[0], x=x[0]))
         else:
-            ss = sort_sample(_adopt(y, delta, x))
+            ss = sort_sample(_adopt(SurvivalSample, y=y, delta=delta, x=x))
         slot, _, denom_g, denom_h, _, _ = _tail_terms(ss)
         denom_h = denom_h.ravel()[slot]  # each group's 1 - H, read from its slot
         group = np.repeat(np.arange(ss.first.size), ss.stop - ss.first)
@@ -498,8 +498,8 @@ class TestSandwichCi:
             return ss, [sandwich_ci(ss, kw, fit) for fit in (stute_fit(ss, kw), pen,
                                                              fit_two_step(ss, kw, pen))]
 
-        ss, block = sandwiches(_adopt(*(np.stack([getattr(s, k) for s in samples])
-                                        for k in ("y", "delta", "x"))))
+        y, delta, x = (np.stack([getattr(s, k) for s in samples]) for k in ("y", "delta", "x"))
+        ss, block = sandwiches(_adopt(SurvivalSample, y=y, delta=delta, x=x))
         groups = np.bincount(ss.first // 400)
         assert groups[0] < groups[1] == 400
         for r, sample in enumerate(samples):
@@ -552,7 +552,7 @@ def test_intervals_need_censoring_independent_of_x(gamma):
     t = 1.0 + x2 + rng.standard_normal((reps, n))
     c = 3.0 + gamma * (x2 - 0.5) + rng.standard_normal((reps, n))
     x = np.stack([np.ones_like(x2), x2], axis=-1)
-    ss = sort_sample(_adopt(np.minimum(t, c), (t <= c).astype(np.int64), x))
+    ss = sort_sample(_adopt(SurvivalSample, y=np.minimum(t, c), delta=(t <= c).astype(np.int64), x=x))
     kw = km_weights(ss)
     for fit in (stute_fit(ss, kw), fit_two_step(ss, kw, fit_penalized(ss, kw))):
         inf = sandwich_ci(ss, kw, fit)

@@ -188,6 +188,19 @@ class TestFitPenalized:
                 a[0] = 0.0
         assert np.array_equal(fit_penalized(ss, kw).lam, fit.lam)
 
+    def test_an_explicit_level_is_copied_and_a_samples_is_a_float(self):
+        """The fit freezes its own copy of a caller's levels, and a sample's 0-d level
+        comes back as a float, as the rule's does, with the same fit."""
+        ss, kw = prepare(_draw(DgpConfig(n=200, mu=2.0), [_cell_seed(5, 0, j) for j in range(3)]))
+        lam = np.array([0.3, 0.4, 0.5])
+        fit = fit_penalized(ss, kw, lam)
+        assert lam.flags.writeable and not fit.lam.flags.writeable
+        assert not np.shares_memory(lam, fit.lam) and np.array_equal(fit.lam, lam)
+        ss, kw = prepare(generate_sample(DgpConfig(n=200, mu=2.0)))
+        fit = fit_penalized(ss, kw, np.array(0.3))
+        assert type(fit.lam) is float and fit.lam == 0.3
+        assert fit.beta.tobytes() == fit_penalized(ss, kw, 0.3).beta.tobytes()
+
 
 def test_gross_outliers_are_flagged_with_high_probability():
     hits = total = 0

@@ -277,7 +277,8 @@ def test_a_block_matches_its_samples_fitted_one_at_a_time():
     ]
     for cuts in ([0, 6], [0, 4, 6], [0, 1, 2, 3, 4, 5, 6]):  # one block; ragged; blocks of one
         for lo, hi in zip(cuts, cuts[1:]):
-            block = _adopt(*(np.stack([rep[k] for rep in reps[lo:hi]]) for k in range(3)))
+            y, delta, x = (np.stack([rep[k] for rep in reps[lo:hi]]) for k in range(3))
+            block = _adopt(SurvivalSample, y=y, delta=delta, x=x)
             got = simulation._run_block(block, 1.0)
             for r in range(hi - lo):
                 want = alone[lo + r]
@@ -308,7 +309,8 @@ def test_a_block_is_sorted_weighted_and_fitted_once(monkeypatch):
     for name in ("sort_sample", "km_weights", "stute_fit", "fit_penalized", "fit_two_step", "sandwich_ci"):
         count(simulation, name)
     reps = _replications()
-    block = _adopt(*(np.stack([rep[k] for rep in reps]) for k in range(3)))
+    y, delta, x = (np.stack([rep[k] for rep in reps]) for k in range(3))
+    block = _adopt(SurvivalSample, y=y, delta=delta, x=x)
     results = simulation._run_block(block, 1.0)
     assert not results["stute"][2][1]  # the singular full Gram counts for no estimator
     assert counts == {
@@ -320,7 +322,7 @@ def test_a_block_is_sorted_weighted_and_fitted_once(monkeypatch):
 def test_an_all_singular_block_is_all_nan_and_warns_nothing():
     x = np.stack([np.ones((2, 30)), np.full((2, 30), 0.5)], axis=-1)  # a constant covariate
     y = 1.0 + np.random.default_rng(5).normal(size=(2, 30))
-    block = _adopt(y=y, delta=np.ones((2, 30), dtype=np.int64), x=x)
+    block = _adopt(SurvivalSample, y=y, delta=np.ones((2, 30), dtype=np.int64), x=x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = simulation._run_block(block, 1.0)

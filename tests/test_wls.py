@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,11 +10,16 @@ from robustaft import (
     SingularGramError,
     SurvivalSample,
     build_weighted_design,
+    fit_penalized,
+    fit_two_step,
     generate_sample,
     km_weights,
+    load_csv,
+    sandwich_ci,
     sort_sample,
     stute_fit,
     wls_solve,
+    write_csv,
 )
 from robustaft.simulation import BETA, _cell_seed, _draw
 from robustaft.wls import _gram_inverse, _singular
@@ -212,10 +218,12 @@ class TestStuteFit:
 
 
 class TestFit:
-    def test_a_callers_arrays_are_copied_and_the_packages_frozen_in_place(self):
+    def test_a_callers_arrays_are_copied_and_the_packages_frozen_in_place(self, tmp_path):
         """A Fit built by a caller copies ``beta`` and ``alpha_w``, so the caller's
         arrays stay writeable and unaliased; the package's own fits hold read-only
-        arrays, the Stute fit's shifts a zero view with no rows of its own."""
+        arrays, the Stute fit's shifts a zero view with no rows of its own.  Every
+        record the package returns, for a sample and a block, holds only read-only
+        arrays, and a sandwich's ``beta`` is its fit's."""
         beta, alpha_w = np.array([1.0, 2.0]), np.array([0.0, 0.5, 0.0])
         fit = Fit(beta=beta, alpha_w=alpha_w)
         for mine, held in ((beta, fit.beta), (alpha_w, fit.alpha_w)):
@@ -231,3 +239,17 @@ class TestFit:
             assert not a.flags.writeable
         assert stute.alpha_w.shape == (8,) and stute.alpha_w.strides == (0,)
         assert not stute.alpha_w.any() and stute.outliers.shape == (0,)
+
+        cfg = DgpConfig(n=60, mu=2.0, seed=3)
+        write_csv(generate_sample(cfg), tmp_path / "sample.csv")
+        for sample in (generate_sample(cfg), load_csv(tmp_path / "sample.csv"), _draw(cfg, [1, 2, 3])):
+            ss = sort_sample(sample)
+            kw = km_weights(ss)
+            pen = fit_penalized(ss, kw)
+            fits = (stute_fit(ss, kw), pen, fit_two_step(ss, kw, pen))
+            sandwiches = [sandwich_ci(ss, kw, fit) for fit in fits]
+            for record in (sample, ss, ss.base, kw, *fits, *sandwiches):
+                for f in dataclasses.fields(record):
+                    a = getattr(record, f.name)
+                    assert not (isinstance(a, np.ndarray) and a.flags.writeable), (type(record), f.name)
+            assert all(inf.beta is fit.beta for inf, fit in zip(sandwiches, fits))
