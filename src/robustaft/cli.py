@@ -31,14 +31,13 @@ def cmd_fit(args) -> int:
             soft_threshold_step([0.0], lam)
         except ValueError:
             raise ValueError("--lambda must be positive and finite") from None
-    sample = load_csv(args.input)
-    ss = sort_sample(sample)
+    ss = sort_sample(load_csv(args.input))  # the unsorted sample is not kept
     kw = km_weights(ss)
 
     meta = {
         "method": args.method,
-        "n": sample.n,
-        "p": sample.p,
+        "n": ss.base.n,
+        "p": ss.base.p,
         "pi_uc_hat": kw.pi_uc_hat,
     }
     outliers = []
@@ -62,7 +61,7 @@ def cmd_fit(args) -> int:
             "ci_lower": float(inf.ci_lower[k]),
             "ci_upper": float(inf.ci_upper[k]),
         })
-        for k in range(sample.p)
+        for k in range(ss.base.p)
     ]
     records += [("outlier", row, {"alpha_w": alpha_w}) for row, alpha_w in outliers]
     _WRITERS[args.format](records, sys.stdout)

@@ -22,9 +22,14 @@ import numpy as np
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
-    out.flags.writeable = False
-    return out
+    """A read-only copy of a caller's array."""
+    return _freeze(np.array(a, copy=True))
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """An array the package has just made, frozen in place (nothing is copied) and returned."""
+    a.flags.writeable = False
+    return a
 
 
 def _per_sample(a: np.ndarray):
@@ -43,7 +48,7 @@ def _adopt(cls, **values):
             values[f.name] = f.default_factory() if f.default is MISSING else f.default
     for a in values.values():
         if isinstance(a, np.ndarray):
-            a.flags.writeable = False
+            _freeze(a)
     record = object.__new__(cls)
     record.__dict__.update(values)
     return record
@@ -69,8 +74,11 @@ class SurvivalSample:
     ----------
     y : (n,) float array
         Observed outcomes, Y_i = min(T_i, C_i).
-    delta : (n,) int array
+    delta : (n,) int8 array
         Censoring indicators, 1 = uncensored (event observed), 0 = censored.
+        One byte per row, so arithmetic whose result can pass 127 (an
+        int8 ``@``, say) must cast to a wider type first; comparisons,
+        division, ``mean``, ``sum`` and ``cumsum`` are safe as they are.
     x : (n, p) float array
         Covariates, one row per observation.
     """
@@ -93,7 +101,7 @@ class SurvivalSample:
         _check_size(n, x.shape[1])
         _check_entries(y, delta, x)
         object.__setattr__(self, "y", _frozen(y))
-        object.__setattr__(self, "delta", _frozen(delta.astype(np.int64)))
+        object.__setattr__(self, "delta", _freeze(delta.astype(np.int8)))
         object.__setattr__(self, "x", _frozen(x))
 
     @property

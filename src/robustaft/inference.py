@@ -30,9 +30,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import SortedSample, _adopt, _frozen, _memo
+from .data import SortedSample, _adopt, _freeze, _memo
 from .km import _product_limit
-from .wls import Fit, WeightedDesign, _checked_inverse, _matvec, build_weighted_design
+from .wls import Fit, WeightedDesign, _checked_inverse, build_weighted_design
+
+# Row chunks a tied sample's slot tables are gathered to rows in, one at a time.
+_GATHER_CHUNKS = 8
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
     events see the risk set already reduced by the failures at that time.
     """
     survival = _product_limit(sorted_sample.base.delta == 0).ravel()
-    return _frozen(1.0 - survival[sorted_sample.stop - 1])
+    return _freeze(1.0 - survival[sorted_sample.stop - 1])
 
 
 def _tail_terms(sorted_sample: SortedSample) -> tuple:
@@ -113,7 +116,8 @@ def compute_psi(
     KM fit, the 1 - G and 1 - H denominators, (1 - H)^2 over each tie group's censored
     count and, if tied, each group's slot and each slot's row count.  Per fit, on every
     call: the summands c, gamma1's suffix and gamma2's prefix sums over the tie groups
-    and, if tied, c's sum over each group and its gathers to rows by ``np.repeat``.
+    and, if tied, c's sum over each group and its gathers to rows by ``np.repeat``,
+    ``_GATHER_CHUNKS`` runs of rows at a time.
     """
     base = sorted_sample.base
     y, x = base.y, base.x
@@ -123,8 +127,11 @@ def compute_psi(
 
     # everything below is (p, rows) or (p, slots), with a block's replication axis
     # after p, so each pass runs along the long axis
-    # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-)), built in place
-    xi = _matvec(x, beta)
+    # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-)), built in place with
+    # the residual xi in c's last row, which is multiplied by its column last
+    c = np.empty((p,) + y.shape)
+    xi = c[-1]
+    np.matmul(x, beta[..., None], out=xi[..., None])
     np.subtract(y, xi, out=xi)
     if alpha is not None:  # x - 0.0 == x, so only the shifted rows change
         if not isinstance(alpha, tuple):
@@ -132,8 +139,9 @@ def compute_psi(
             alpha = np.flatnonzero(dense), dense[dense != 0.0]
         xi.flat[alpha[0]] -= alpha[1]
     xi /= denom_g
-    c = np.multiply(np.moveaxis(x, -1, 0), xi, order="C")
-    del xi
+    for k in range(p - 1):
+        np.multiply(x[..., k], xi, out=c[k])
+    xi *= x[..., -1]
 
     # y is sorted, so strict comparisons reduce to tie groups: sum c over each group
     # into its slot, zero past a replication's last group.  Untied, the sums and the
@@ -158,14 +166,23 @@ def compute_psi(
     pre /= n**2  # gamma2 on each group
     suf /= n * denom_h  # gamma1 on each group
 
-    # c + gamma1 on censored rows - gamma2, built in c's buffer; tied, each slot repeats
-    # over its rows one coefficient (n rows) at a time, so no (p, n) gather is made
-    def to_rows(table):
-        return table if counts is None else np.repeat(table.ravel(), counts).reshape(censored.shape)
-
-    for k in (...,) if counts is None else range(p):
-        np.add(c[k], to_rows(suf[k]), out=c[k], where=censored)
-        c[k] -= to_rows(pre[k])
+    # c + gamma1 on censored rows - gamma2, built in c's buffer
+    if counts is None:
+        np.add(c, suf, out=c, where=censored)
+        c -= pre
+        return np.moveaxis(c, 0, -1)
+    # tied: each slot repeats over its rows, in _GATHER_CHUNKS runs of whole slots
+    # of about equal rows, so a gather is a fraction of one n-row array
+    starts = np.concatenate(([0], np.cumsum(counts)))  # rows before each slot
+    cuts = np.searchsorted(starts, np.arange(_GATHER_CHUNKS + 1) * starts[-1] // _GATHER_CHUNKS)
+    rows = c.reshape(p, -1)
+    suf, pre, censored = suf.reshape(p, -1), pre.reshape(p, -1), censored.ravel()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        r, each = slice(starts[lo], starts[hi]), counts[lo:hi]
+        for k in range(p):
+            out = rows[k, r]
+            np.add(out, np.repeat(suf[k, lo:hi], each), out=out, where=censored[r])
+            out -= np.repeat(pre[k, lo:hi], each)
     return np.moveaxis(c, 0, -1)
 
 
@@ -204,8 +221,9 @@ def sandwich_ci(
     z = normal_quantile(level)
     # unscaled on the shifted rows only: a zero-weight row's shift is 0, a failed fit's NaN
     alpha = None
-    if fit.alpha_w.any():
-        rows = np.flatnonzero(fit.alpha_w)
+    shifted = fit.alpha_w != 0.0  # a bool mask: its rows are found 10x faster than alpha_w's
+    if shifted.any():
+        rows = np.flatnonzero(shifted)
         w = design.w.flat[rows]
         alpha = rows, fit.alpha_w.flat[rows] / np.where(w > 0, np.sqrt(w), np.inf)
     # one contiguous (p, n) array per replication, so a replication's products
@@ -220,7 +238,7 @@ def sandwich_ci(
         sigma_hat = centered @ np.swapaxes(centered, -1, -2) / n
         del psi_t, centered  # before the kept-row bread copies xw
 
-        kept = fit.alpha_w == 0.0
+        kept = np.logical_not(shifted, out=shifted)
         context = f"sandwich bread over the {np.count_nonzero(kept)} of {n} rows with zero shift"
         sigma_x, sigma_x_inv = _checked_inverse(design, kept, context)
         cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n

@@ -137,7 +137,7 @@ def _draw(cfg: DgpConfig, seeds) -> SurvivalSample:
     x = np.stack([np.ones_like(x2), x2], axis=-1)
     t = x @ np.asarray(BETA) + shift + noise
     y = np.minimum(t, censor)
-    delta = (t <= censor).astype(np.int64)
+    delta = (t <= censor).astype(np.int8)
     _check_entries(y, delta, x)
     return _adopt(SurvivalSample, y=y, delta=delta, x=x)
 

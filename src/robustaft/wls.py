@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SortedSample, _adopt, _frozen, _memo
+from .data import SortedSample, _adopt, _freeze, _frozen, _memo
 
 # Relative eigenvalue cutoff below which the Gram matrix is treated as singular.
 GRAM_RTOL = 1e-12
@@ -75,9 +75,8 @@ def _gram_inverse(xw: np.ndarray, keep: np.ndarray | None) -> tuple[np.ndarray, 
     # dividing by NaN makes a singular Gram's inverse all NaN, without a warning
     scale = np.where(_singular(eigs)[..., None], np.nan, eigs)
     inv = (vecs / scale[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    for a in (gram, inv, eigs):  # kept on the design, so shared by every caller
-        a.flags.writeable = False
-    return gram, inv, eigs
+    # kept on the design, so shared by every caller
+    return _freeze(gram), _freeze(inv), _freeze(eigs)
 
 
 def _singular(eigs: np.ndarray) -> np.ndarray:

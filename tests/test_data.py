@@ -61,7 +61,7 @@ class TestValidation:
             assert a.flags.owndata and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 9
-        assert base.delta.dtype == np.int64 and base.x.shape == (3, 2)
+        assert base.delta.dtype == np.int8 and base.x.shape == (3, 2)
 
 
 class TestSort:
@@ -286,6 +286,22 @@ class TestCsv:
         assert np.array_equal(loaded.x, reloaded.x)
         assert np.array_equal(s.y, loaded.y)
         assert np.array_equal(s.x, loaded.x)
+
+    def test_a_one_byte_delta_is_written_as_0_and_1_and_read_back(self, tmp_path):
+        """The constructor keeps delta as int8, from ints, floats or bools alike;
+        ``write_csv`` writes it as ``0`` and ``1``, and the file loads back to the
+        same bytes."""
+        for delta in ([1, 0, 1, 1], [1.0, 0.0, 1.0, 1.0], [True, False, True, True]):
+            s = SurvivalSample(y=[0.5, 2.0, 1.5, 3.0], delta=delta, x=[[1.0], [2.0], [3.0], [5.0]])
+            assert s.delta.dtype == np.int8
+            path = tmp_path / "d.csv"
+            write_csv(s, path)
+            assert path.read_bytes() == (
+                b"y,delta,x1\r\n0.5,1,1.0\r\n2.0,0,2.0\r\n1.5,1,3.0\r\n3.0,1,5.0\r\n"
+            )
+            loaded = load_csv(path)
+            for a, b in ((s.y, loaded.y), (s.delta, loaded.delta), (s.x, loaded.x)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_write_pins_the_text_of_each_number(self, tmp_path):
         """Shortest round-trip text: the sign of zero, a subnormal, exponent form

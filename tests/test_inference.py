@@ -261,11 +261,13 @@ class TestSandwichCi:
             tracemalloc.stop()
         assert peak <= 2.0 * sample.p * sample.n * 8
 
-    def test_a_whole_cell_peaks_below_sixteen_n_row_arrays(self):
+    def test_a_whole_cell_peaks_below_fourteen_and_a_quarter_n_row_arrays(self):
         """From the sort through the three sandwiches, a tied n = 1e5 cell holds at
-        most 16 n-row float arrays at its peak: the sorted sample (4), its
-        permutation, the design (4), two fits' shifts, psi's cached tail terms and
-        one sandwich's working set."""
+        most 14.25 n-row float arrays at its peak: the sorted sample (y, a one-byte
+        delta, x and the permutation: 4.1), the design (4), two fits' shifts,
+        psi's cached 1 - G(Y-) and censored mask (1.1), the sandwich's shifted-row
+        mask and psi's (p, n) buffer, in whose last row the residual is built, with
+        the tied gathers a fraction of a row."""
         raw = generate_sample(DgpConfig(n=100_000, mu=2.0, seed=3))
         sample = SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x)
         tracemalloc.start()
@@ -279,7 +281,7 @@ class TestSandwichCi:
         finally:
             tracemalloc.stop()
         assert ss.first.shape[0] < sample.n // 50  # tied: psi gathers its slots to rows
-        assert peak <= 16 * sample.n * 8
+        assert peak <= 14.25 * sample.n * 8
 
     def test_constant_design_collapses_to_mean_case(self):
         rng = np.random.default_rng(45)
@@ -506,6 +508,43 @@ class TestSandwichCi:
             for together, alone in zip(block, sandwiches(sample)[1]):
                 for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper"):
                     assert getattr(together, name)[r].tobytes() == getattr(alone, name).tobytes()
+
+    def test_an_int64_delta_gives_the_bits_of_its_int8_twin(self):
+        """A sample adopted with an int64 delta and its int8 twin give the same
+        sorted samples, designs, three fits and three sandwiches, to the bit, as one
+        tied sample and as a block with an untied one: every kernel reads delta
+        through ==, division, mean or the sort key's -=, whatever its width."""
+        raw = [generate_sample(DgpConfig(n=300, mu=2.0, seed=_cell_seed(6, 0, r)))
+               for r in range(2)]
+        y = np.stack([np.round(raw[0].y, 1), raw[1].y])
+        x = np.stack([s.x for s in raw])
+        delta = np.stack([s.delta for s in raw])
+        assert delta.dtype == np.int8
+
+        def pipeline(sample):
+            """Each field of the pipeline's records but the sorted sample's base (whose
+            own fields come first) and the values kept on first use, by name."""
+            ss = sort_sample(sample)
+            kw = km_weights(ss)
+            pen = fit_penalized(ss, kw)
+            fits = (stute_fit(ss, kw), pen, fit_two_step(ss, kw, pen))
+            records = [ss.base, ss, kw, *fits, *(sandwich_ci(ss, kw, fit) for fit in fits)]
+            return [(name, np.asarray(value)) for record in records
+                    for name, value in vars(record).items()
+                    if isinstance(name, str) and name != "base"]
+
+        for one_y, one_delta, one_x in ((y[0], delta[0], x[0]), (y, delta, x)):
+            wide, narrow = (
+                pipeline(_adopt(SurvivalSample, y=one_y, delta=one_delta.astype(dtype), x=one_x))
+                for dtype in (np.int64, np.int8)
+            )
+            assert [name for name, _ in wide] == [name for name, _ in narrow]
+            assert len(wide) == 3 + 3 + 4 + 3 * 6 + 3 * 7
+            for (name, a), (_, b) in zip(wide, narrow):
+                if name == "delta":
+                    assert (a.dtype, b.dtype) == (np.int64, np.int8) and np.array_equal(a, b)
+                else:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_level_validation_and_fit_type(self):
         ss, kw = prepare([1.0, 2.0, 3.0], [1, 1, 1])
