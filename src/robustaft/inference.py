@@ -100,15 +100,15 @@ def _tail_terms(sorted_sample: SortedSample) -> tuple:
 def compute_psi(
     sorted_sample: SortedSample,
     beta: np.ndarray,
-    alpha: np.ndarray | None = None,
+    alpha: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Influence vectors psi as an (n, p) matrix in sorted order; (R, n, p) for a block.
 
     ``alpha`` holds the per-observation shifts entering the residuals
-    xi_(i) = Y_(i) - X_(i)' beta - alpha_(i): an array broadcast to y's shape, or a
-    pair (flat rows, shifts) with every other row's shift zero; pass None for a fit
-    without shift parameters.  A replication whose ``beta`` is not finite (a failed
-    fit) gets NaN influence vectors.
+    xi_(i) = Y_(i) - X_(i)' beta - alpha_(i) as a pair (rows, shifts): ascending flat
+    row offsets (into a block's flattened (R * n) rows) and their shifts, every other
+    row's shift zero; pass None for a fit without shift parameters.  A replication
+    whose ``beta`` is not finite (a failed fit) gets NaN influence vectors.
 
     The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
 
@@ -134,10 +134,8 @@ def compute_psi(
     np.matmul(x, beta[..., None], out=xi[..., None])
     np.subtract(y, xi, out=xi)
     if alpha is not None:  # x - 0.0 == x, so only the shifted rows change
-        if not isinstance(alpha, tuple):
-            dense = np.broadcast_to(np.asarray(alpha, dtype=float), xi.shape).ravel()
-            alpha = np.flatnonzero(dense), dense[dense != 0.0]
-        xi.flat[alpha[0]] -= alpha[1]
+        rows, shifts = alpha
+        xi.reshape(-1)[rows] -= shifts  # a float row raises here; ``.flat`` would read it as a row
     xi /= denom_g
     for k in range(p - 1):
         np.multiply(x[..., k], xi, out=c[k])
@@ -208,7 +206,8 @@ def sandwich_ci(
     SigmaX^{-1} Sigma SigmaX^{-1} / n.  Restricting SigmaX to zero-shift rows
     gives each fit its own normal equations: all rows for the Stute fit, the
     unclamped rows for the penalized fit (the Huber bread of the l1
-    mean-shift problem) and the unflagged rows for the two-step refit.
+    mean-shift problem) and the unflagged rows for the two-step refit.  Psi's
+    shifts and the bread's dropped rows are one array of ascending flat row offsets.
 
     Raises ValueError for a ``level`` outside (0, 1).  Raises
     SingularGramError when a sample's Gram matrix is singular, and ValueError
@@ -219,13 +218,10 @@ def sandwich_ci(
     """
     design = build_weighted_design(sorted_sample, kw)
     z = normal_quantile(level)
-    # unscaled on the shifted rows only: a zero-weight row's shift is 0, a failed fit's NaN
-    alpha = None
-    shifted = fit.alpha_w != 0.0  # a bool mask: its rows are found 10x faster than alpha_w's
-    if shifted.any():
-        rows = np.flatnonzero(shifted)
-        w = design.w.flat[rows]
-        alpha = rows, fit.alpha_w.flat[rows] / np.where(w > 0, np.sqrt(w), np.inf)
+    # psi's unscaled shifts (0 at zero weight, NaN for a failed fit) and the bread's dropped rows
+    shifted = np.flatnonzero(fit.alpha_w != 0.0)  # on a bool mask: 10x faster than on alpha_w
+    w = design.w.flat[shifted]
+    alpha = shifted, fit.alpha_w.flat[shifted] / np.where(w > 0, np.sqrt(w), np.inf)
     # one contiguous (p, n) array per replication, so a replication's products
     # are the same whether or not it shares a block
     psi_t = np.ascontiguousarray(np.swapaxes(compute_psi(sorted_sample, fit.beta, alpha), -1, -2))
@@ -238,9 +234,8 @@ def sandwich_ci(
         sigma_hat = centered @ np.swapaxes(centered, -1, -2) / n
         del psi_t, centered  # before the kept-row bread copies xw
 
-        kept = np.logical_not(shifted, out=shifted)
-        context = f"sandwich bread over the {np.count_nonzero(kept)} of {n} rows with zero shift"
-        sigma_x, sigma_x_inv = _checked_inverse(design, kept, context)
+        context = f"sandwich bread over the {n - shifted.size} of {n} rows with zero shift"
+        sigma_x, sigma_x_inv = _checked_inverse(design, shifted, context)
         cov_beta = sigma_x_inv @ sigma_hat @ sigma_x_inv / n
         cov_beta = (cov_beta + np.swapaxes(cov_beta, -1, -2)) / 2.0
         std_errors = np.sqrt(np.clip(np.diagonal(cov_beta, axis1=-2, axis2=-1), 0.0, None))

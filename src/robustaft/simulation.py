@@ -48,16 +48,21 @@ BLOCK_ELEMS = 6144
 class DgpConfig:
     """Sampling design for one synthetic dataset.
 
-    ``outlier_cutoff`` is the threshold on the uniform covariate above which
-    the mean shift of -20 applies; with the default 1 - 5e-3 the outlier
-    probability is exactly 5e-3 (five expected outliers per thousand
-    observations), and 1.0 draws clean data.
+    ``outlier_cutoff`` is the threshold on the uniform covariate above which the mean
+    shift of -20 applies; with the default 1 - 5e-3 the outlier probability is exactly
+    5e-3 (five expected outliers per thousand observations), and 1.0 draws clean data.
+    An infinite ``mu`` censors nothing; a NaN ``mu`` or ``outlier_cutoff`` raises ValueError.
     """
 
     n: int = 1000
     outlier_cutoff: float = 1.0 - 5e-3
     mu: float = 5.0
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("mu", "outlier_cutoff"):
+            if np.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -192,15 +197,14 @@ def run_study(
     about it.
     """
     _check_study(reps, base_cfg)
-    grid = [float(m) for m in grid]
+    cfgs = [replace(base_cfg, mu=float(m)) for m in grid]  # each grid mu checked before any work
     true_coef = BETA[SLOPE]
     size = max(1, BLOCK_ELEMS // base_cfg.n)
 
     start = time.perf_counter()
     rows = []
     failures = 0
-    for i, mu in enumerate(grid):
-        cfg = replace(base_cfg, mu=mu)
+    for i, cfg in enumerate(cfgs):
         blocks = [
             _run_block(
                 _draw(cfg, [_cell_seed(base_cfg.seed, i, j) for j in range(lo, min(lo + size, reps))]),
@@ -214,7 +218,7 @@ def run_study(
             failures += int(ok.size - ok.sum())
             if not ok.any():
                 rows.append(
-                    ReportRow(name, mu, pi_uc, np.nan, np.nan, np.nan, np.nan, 0)
+                    ReportRow(name, cfg.mu, pi_uc, np.nan, np.nan, np.nan, np.nan, 0)
                 )
                 continue
             est, cover = est[ok], cover[ok].astype(float)
@@ -222,7 +226,7 @@ def run_study(
             rows.append(
                 ReportRow(
                     estimator=name,
-                    mu=mu,
+                    mu=cfg.mu,
                     pi_uc_hat=pi_uc,
                     bias=float(errors.mean()),
                     variance=float(est.var()),

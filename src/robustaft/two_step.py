@@ -24,7 +24,8 @@ def detect_outliers(fit: Fit) -> np.ndarray:
 
 
 def fit_two_step(sorted_sample: SortedSample, kw: WeightedDesign, fit: Fit) -> Fit:
-    """Refit the weighted regression on the rows that ``detect_outliers`` does not flag.
+    """Refit the weighted regression on every row but those ``detect_outliers`` flags
+    (ascending flat row offsets, which the Gram and the result's ``outliers`` share).
 
     Equivalent to the joint least-squares problem where shifts are free on
     the flagged set: those rows' residuals are absorbed exactly, so they drop
@@ -33,12 +34,11 @@ def fit_two_step(sorted_sample: SortedSample, kw: WeightedDesign, fit: Fit) -> F
     """
     design = build_weighted_design(sorted_sample, kw)
     outliers = detect_outliers(fit)
-    keep = np.ones(design.yw.shape, dtype=bool)
-    keep.flat[outliers] = False
-    context = f"screened refit after removing {outliers.size} of {keep.shape[-1]} rows"
-    _, inv = _checked_inverse(design, keep, context)
-    rhs = _matvec(np.swapaxes(design.xw, -1, -2), np.where(keep, design.yw, 0.0))
-    beta = _matvec(inv, rhs)
+    context = f"screened refit after removing {outliers.size} of {design.yw.shape[-1]} rows"
+    _, inv = _checked_inverse(design, outliers, context)
+    yw = design.yw.copy()
+    yw.flat[outliers] = 0.0
+    beta = _matvec(inv, _matvec(np.swapaxes(design.xw, -1, -2), yw))
 
     alpha_w = np.zeros(design.yw.shape)
     alpha_w.flat[outliers] = (design.yw - _matvec(design.xw, beta)).flat[outliers]

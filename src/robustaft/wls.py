@@ -23,6 +23,7 @@ from .data import SortedSample, _adopt, _freeze, _frozen, _memo
 
 # Relative eigenvalue cutoff below which the Gram matrix is treated as singular.
 GRAM_RTOL = 1e-12
+_NO_ROWS = _freeze(np.empty(0, dtype=np.int64))  # drop no row: the Gram of every row
 
 
 class SingularGramError(Exception):
@@ -51,25 +52,24 @@ class WeightedDesign:
     xw: np.ndarray
     yw: np.ndarray
 
-    def inverse(self, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Gram matrix of the rows where ``keep`` is true (all rows if None), its
-        inverse and its eigenvalues, through one eigendecomposition per replication.
+    def inverse(self, drop: np.ndarray = _NO_ROWS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Gram matrix of every row but ``drop`` (ascending flat row offsets, into a
+        block's flattened (R * n) rows; empty for all rows), its inverse and its
+        eigenvalues, through one eigendecomposition per replication.
 
         Does not raise: a singular Gram (see ``_singular``) gets an all-NaN
         inverse, which ``_checked_inverse`` turns into an error for a sample.  Each
-        result is kept on the design, keyed by its rows (an all-true ``keep`` is
-        all rows), so the two-step refit's inverse is also its sandwich's bread.
+        result is kept on the design, keyed by ``drop.tobytes()`` (every empty ``drop``
+        shares the all-rows entry), so the two-step refit's inverse is also its
+        sandwich's bread.
         """
-        if keep is not None and keep.all():
-            keep = None
-        key = ("inverse", None if keep is None else keep.tobytes())
-        return _memo(self, key, lambda: _gram_inverse(self.xw, keep))
+        return _memo(self, ("inverse", drop.tobytes()), lambda: _gram_inverse(self.xw, drop))
 
 
-def _gram_inverse(xw: np.ndarray, keep: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    if keep is not None:  # zero the dropped rows of a copy, indexed by row
+def _gram_inverse(xw: np.ndarray, drop: np.ndarray) -> tuple[np.ndarray, ...]:
+    if drop.size:  # zero the dropped rows of a copy, indexed by row
         xw = xw.copy()
-        xw.reshape(-1, xw.shape[-1])[np.flatnonzero(~keep)] = 0.0
+        xw.reshape(-1, xw.shape[-1])[drop] = 0.0
     gram = np.swapaxes(xw, -1, -2) @ xw
     eigs, vecs = np.linalg.eigh(gram)
     # dividing by NaN makes a singular Gram's inverse all NaN, without a warning
@@ -84,11 +84,11 @@ def _singular(eigs: np.ndarray) -> np.ndarray:
     return eigs[..., 0] <= GRAM_RTOL * np.maximum(eigs[..., -1], 0.0)
 
 
-def _checked_inverse(design: WeightedDesign, keep=None, context: str = "") -> tuple:
-    """``design.inverse(keep)``'s Gram matrix and inverse, raising SingularGramError,
-    naming ``context``, if one sample's Gram is singular.  A block never raises: a
-    singular replication's inverse is NaN, so its results are NaN and the study drops it."""
-    gram, inv, eigs = design.inverse(keep)
+def _checked_inverse(design: WeightedDesign, drop=_NO_ROWS, context: str = "") -> tuple:
+    """``design.inverse(drop)``'s Gram and inverse, ``drop`` ascending flat row offsets,
+    raising SingularGramError, naming ``context``, if one sample's Gram is singular.  A
+    block never raises: a singular replication's results are NaN and the study drops it."""
+    gram, inv, eigs = design.inverse(drop)
     if eigs.ndim == 1 and _singular(eigs):
         low, high = eigs[[0, -1]]
         detail = f" ({context})" if context else ""

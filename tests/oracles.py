@@ -150,6 +150,14 @@ def psi_double_loop(y, delta, x, beta, alpha):
     return psi
 
 
+def shift_pair(alpha):
+    """A dense shift array as ``compute_psi`` takes it: its nonzero entries' ascending
+    flat offsets and their values."""
+    dense = np.asarray(alpha, dtype=float).ravel()
+    rows = np.flatnonzero(dense)
+    return rows, dense[rows]
+
+
 def joint_screened_beta(xw, yw, flagged):
     """Coefficients of min over (b, shifts free on ``flagged``) of the squared error.
 

@@ -22,8 +22,8 @@ from robustaft import (
 )
 from robustaft.data import _adopt
 from robustaft.inference import _tail_terms
-from robustaft.simulation import _cell_seed
-from oracles import psi_double_loop, random_instance
+from robustaft.simulation import _cell_seed, _draw
+from oracles import psi_double_loop, random_instance, shift_pair
 
 Z_975 = 1.959963984540054
 
@@ -70,6 +70,24 @@ class TestCensoringKM:
             _, cdf = censoring_km_direct(ss.base.y, ss.base.delta)
             assert np.array_equal(censoring_km(ss), cdf)
 
+    def test_stute_weights_are_delta_over_n_times_the_censoring_survival(self):
+        """n w_(i) = delta_(i) / (1 - G(Y_(i)-)), with G(Y-) the censoring KM at the tie
+        group below row i's (0 in a replication's lowest group): within 1e-11 relative
+        on uncensored rows, and 0 on both sides on censored ones, on an untied and a
+        tied n = 1e5 sample and on a tied block."""
+        raw = generate_sample(DgpConfig(n=100_000, mu=2.0, seed=3))
+        tied = SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x)
+        draws = _draw(DgpConfig(n=500, mu=2.0), [_cell_seed(6, 0, r) for r in range(4)])
+        block = _adopt(SurvivalSample, y=np.round(draws.y, 1), delta=draws.delta, x=draws.x)
+        for sample in (raw, tied, block):
+            ss = sort_sample(sample)
+            n, delta = ss.base.n, ss.base.delta
+            g_below = np.where(ss.first % n == 0, 0.0, np.concatenate(([0.0], censoring_km(ss)[:-1])))
+            surv_g = np.repeat(1.0 - g_below, ss.stop - ss.first).reshape(delta.shape)
+            lhs, rhs = n * km_weights(ss).w, delta / surv_g
+            assert not lhs[delta == 0].any() and not rhs[delta == 0].any()
+            assert np.max(np.abs(lhs - rhs)[delta == 1] / rhs[delta == 1]) <= 1e-11
+
     def test_cdf_monotone_in_unit_interval(self):
         rng = np.random.default_rng(41)
         ss, _ = prepare(rng.normal(size=50), (rng.random(50) < 0.5).astype(int))
@@ -96,7 +114,7 @@ class TestComputePsi:
         ss, _ = prepare(y, delta, x)
         beta = np.array([0.5, 1.5])
         alpha = np.zeros(5)
-        ours = compute_psi(ss, beta, alpha)
+        ours = compute_psi(ss, beta, shift_pair(alpha))
         oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
         assert np.max(np.abs(ours - oracle)) < 1e-12
 
@@ -107,14 +125,24 @@ class TestComputePsi:
             ss = sort_sample(sample)
             beta = rng.normal(size=sample.p)
             alpha = np.where(rng.random(sample.n) < 0.15, rng.normal(size=sample.n) * 4.0, 0.0)
-            ours = compute_psi(ss, beta, alpha)
+            ours = compute_psi(ss, beta, shift_pair(alpha))
             oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
             assert np.max(np.abs(ours - oracle)) < 1e-12
-            # the shifts as (rows, shifts) pairs, and a scalar shift broadcast to every row
+            # the shifts as a (rows, shifts) pair
             pair = compute_psi(ss, beta, (np.flatnonzero(alpha), alpha[alpha != 0.0]))
             assert pair.tobytes() == ours.tobytes()
-            full = compute_psi(ss, beta, np.full(sample.n, 0.25))
-            assert compute_psi(ss, beta, 0.25).tobytes() == full.tobytes()
+
+    def test_a_dense_shift_array_raises_instead_of_being_read_as_offsets(self):
+        """A dense array is refused whatever its length, even on a two-row sample,
+        where it unpacks to a float row and a shift."""
+        ss = sort_sample(random_instance(np.random.default_rng(44), n=20))
+        alpha = np.zeros(20)
+        alpha[3] = 4.0
+        with pytest.raises(ValueError):
+            compute_psi(ss, np.zeros(ss.base.p), alpha)
+        two, _ = prepare([1.0, 2.0], [1, 1])
+        with pytest.raises(IndexError):
+            compute_psi(two, np.zeros(1), np.array([0.0, 1.0]))
 
     def test_tied_instances_match_double_loop(self):
         rng = np.random.default_rng(50)
@@ -123,7 +151,7 @@ class TestComputePsi:
             ss = sort_sample(sample)
             beta = rng.normal(size=sample.p)
             alpha = np.where(rng.random(sample.n) < 0.15, rng.normal(size=sample.n) * 4.0, 0.0)
-            ours = compute_psi(ss, beta, alpha)
+            ours = compute_psi(ss, beta, shift_pair(alpha))
             oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
             assert np.max(np.abs(ours - oracle)) < 1e-12
 
@@ -141,7 +169,7 @@ class TestComputePsi:
         assert np.all((failures > 0) & (failures < np.diff(ss.first, append=n)))
         beta = rng.normal(size=2)
         alpha = np.where(rng.random(n) < 0.15, rng.normal(size=n) * 4.0, 0.0)
-        ours = compute_psi(ss, beta, alpha)
+        ours = compute_psi(ss, beta, shift_pair(alpha))
         oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
         assert np.max(np.abs(ours - oracle)) < 1e-12
 
@@ -265,9 +293,9 @@ class TestSandwichCi:
         """From the sort through the three sandwiches, a tied n = 1e5 cell holds at
         most 14.25 n-row float arrays at its peak: the sorted sample (y, a one-byte
         delta, x and the permutation: 4.1), the design (4), two fits' shifts,
-        psi's cached 1 - G(Y-) and censored mask (1.1), the sandwich's shifted-row
-        mask and psi's (p, n) buffer, in whose last row the residual is built, with
-        the tied gathers a fraction of a row."""
+        psi's cached 1 - G(Y-) and censored mask (1.1) and psi's (p, n) buffer, in
+        whose last row the residual is built, with the tied gathers a fraction of a
+        row; the sandwich's shifted rows are offsets, not an n-row mask."""
         raw = generate_sample(DgpConfig(n=100_000, mu=2.0, seed=3))
         sample = SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x)
         tracemalloc.start()
@@ -385,8 +413,8 @@ class TestSandwichCi:
 
         keep = two.alpha_w == 0.0
         keep[np.flatnonzero(keep)[0]] = False
-        kw.inverse(keep)
-        kw.inverse(keep.copy())
+        kw.inverse(np.flatnonzero(~keep))
+        kw.inverse(np.flatnonzero(~keep))
         assert calls == [(2, 2)]
 
     def test_stute_sandwich_is_pinned_to_the_bit_on_a_tied_sample(self):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import warnings
 from collections import Counter
@@ -87,6 +88,25 @@ class TestRunStudy:
     def test_rejects_too_few_reps(self):
         with pytest.raises(ValueError):
             run_study([3.0], reps=1)
+
+    @pytest.mark.parametrize("field", ["mu", "outlier_cutoff"])
+    def test_rejects_a_nan_mu_or_cutoff_by_name_before_any_draw(self, field, monkeypatch):
+        """A NaN would draw silently clean data (cutoff) or fail on the drawn entries
+        (mu); a config refuses it by name, so no draw sees one, and a study checks
+        every grid mu before it draws its first block."""
+        with pytest.raises(ValueError, match=f"^{field} must not be NaN"):
+            dataclasses.replace(DgpConfig(n=60), **{field: np.nan})
+        draws = []
+        monkeypatch.setattr(simulation, "_draw", lambda *a: draws.append(a))
+        with pytest.raises(ValueError, match="^mu must not be NaN"):
+            run_study([3.0, np.nan], reps=2, base_cfg=DgpConfig(n=60))
+        assert draws == []
+
+    def test_an_infinite_mu_censors_nothing_and_an_infinite_cutoff_draws_clean_data(self):
+        assert generate_sample(DgpConfig(n=60, mu=np.inf, seed=2)).delta.all()
+        clean = generate_sample(DgpConfig(n=60, outlier_cutoff=1.0, seed=2))
+        endless = generate_sample(DgpConfig(n=60, outlier_cutoff=np.inf, seed=2))
+        assert np.array_equal(endless.y, clean.y) and np.array_equal(endless.delta, clean.delta)
 
     def test_reproducible(self):
         kwargs = dict(grid=[2.5, 4.5], reps=6, base_cfg=DgpConfig(n=80, seed=99))

@@ -83,7 +83,7 @@ class TestWeightedDesign:
         for sample in (generate_sample(DgpConfig(n=50, seed=seeds[0])), _draw(DgpConfig(n=50), seeds)):
             design = km_weights(sort_sample(sample))
             everything = design.inverse()
-            assert design.inverse(np.ones(design.w.shape, bool)) is everything
+            assert design.inverse(np.empty(0, dtype=np.int64)) is everything
             assert design.inverse() is everything
             gram = everything[0]
             assert np.array_equal(gram, np.swapaxes(design.xw, -1, -2) @ design.xw)
@@ -91,7 +91,7 @@ class TestWeightedDesign:
 
 
     def test_kept_row_gram_of_a_block_is_the_zeroed_designs(self):
-        """Rows dropped by ``keep`` count as zero rows: the Gram, its inverse and its
+        """Dropped rows count as zero rows: the Gram, its inverse and its
         eigenvalues have the bits of the design with those rows zeroed, in a block
         whose replications keep every row, none and some; the one that keeps none
         gets a NaN inverse, without a warning."""
@@ -102,8 +102,8 @@ class TestWeightedDesign:
         keep[2] = np.random.default_rng(0).random(60) < 0.7
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = design.inverse(keep)
-        want = _gram_inverse(np.where(keep[..., None], design.xw, 0.0), None)
+            got = design.inverse(np.flatnonzero(~keep))
+        want = _gram_inverse(np.where(keep[..., None], design.xw, 0.0), np.empty(0, dtype=np.int64))
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         inv = got[1]
@@ -253,3 +253,12 @@ class TestFit:
                     a = getattr(record, f.name)
                     assert not (isinstance(a, np.ndarray) and a.flags.writeable), (type(record), f.name)
             assert all(inf.beta is fit.beta for inf, fit in zip(sandwiches, fits))
+
+    def test_a_callers_objective_trace_is_copied(self):
+        """A caller's ``objective_trace`` is held as a read-only copy with its values;
+        the caller's array stays writeable and unaliased."""
+        trace = np.array([3.0, 2.5, 2.5])
+        fit = Fit(beta=np.zeros(2), alpha_w=np.zeros(3), objective_trace=trace)
+        assert np.array_equal(fit.objective_trace, trace)
+        assert not fit.objective_trace.flags.writeable and trace.flags.writeable
+        assert not np.shares_memory(trace, fit.objective_trace)
