@@ -15,12 +15,10 @@ from .simulation import (
     PAPER_PROFILE,
     DgpConfig,
     MonteCarloReport,
-    ReportRow,
-    StudyProfile,
     generate_sample,
     run_study,
 )
-from .two_step import DEFAULT_TAU0, detect_outliers, fit_two_step
+from .two_step import detect_outliers, fit_two_step
 from .wls import (
     Fit,
     SingularGramError,
@@ -33,17 +31,14 @@ from .wls import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TAU0",
     "DESK_PROFILE",
     "DgpConfig",
     "Fit",
     "InferenceResult",
     "MonteCarloReport",
     "PAPER_PROFILE",
-    "ReportRow",
     "SingularGramError",
     "SortedSample",
-    "StudyProfile",
     "SurvivalSample",
     "WeightedDesign",
     "build_weighted_design",

@@ -32,10 +32,11 @@ import numpy as np
 
 from .data import SortedSample, _adopt, _freeze, _memo
 from .km import _product_limit
-from .wls import Fit, WeightedDesign, _checked_inverse, build_weighted_design
+from .wls import _NO_ROWS, Fit, WeightedDesign, _checked_inverse, build_weighted_design
 
 # Row chunks a tied sample's slot tables are gathered to rows in, one at a time.
 _GATHER_CHUNKS = 8
+_NO_SHIFTS = (_NO_ROWS, _freeze(np.empty(0)))  # every row's shift zero
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,15 @@ def _tail_terms(sorted_sample: SortedSample) -> tuple:
 def compute_psi(
     sorted_sample: SortedSample,
     beta: np.ndarray,
-    alpha: tuple[np.ndarray, np.ndarray] | None = None,
+    alpha: tuple[np.ndarray, np.ndarray] = _NO_SHIFTS,
 ) -> np.ndarray:
     """Influence vectors psi as an (n, p) matrix in sorted order; (R, n, p) for a block.
 
     ``alpha`` holds the per-observation shifts entering the residuals
     xi_(i) = Y_(i) - X_(i)' beta - alpha_(i) as a pair (rows, shifts): ascending flat
     row offsets (into a block's flattened (R * n) rows) and their shifts, every other
-    row's shift zero; pass None for a fit without shift parameters.  A replication
-    whose ``beta`` is not finite (a failed fit) gets NaN influence vectors.
+    row's shift zero (by default, every row's).  A replication whose ``beta`` is not
+    finite (a failed fit) gets NaN influence vectors.
 
     The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
 
@@ -133,9 +134,8 @@ def compute_psi(
     xi = c[-1]
     np.matmul(x, beta[..., None], out=xi[..., None])
     np.subtract(y, xi, out=xi)
-    if alpha is not None:  # x - 0.0 == x, so only the shifted rows change
-        rows, shifts = alpha
-        xi.reshape(-1)[rows] -= shifts  # a float row raises here; ``.flat`` would read it as a row
+    rows, shifts = alpha  # x - 0.0 == x, so only the shifted rows change
+    xi.reshape(-1)[rows] -= shifts  # a float row raises here; ``.flat`` would read it as a row
     xi /= denom_g
     for k in range(p - 1):
         np.multiply(x[..., k], xi, out=c[k])

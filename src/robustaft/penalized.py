@@ -54,7 +54,7 @@ def _objective(design_resid: np.ndarray, aw: np.ndarray, lam) -> float:
 def fit_penalized(
     sorted_sample: SortedSample,
     kw: WeightedDesign,
-    lam: float | None = None,
+    lam: float | np.ndarray | None = None,
 ) -> Fit:
     """Alternating minimization for the l1-penalized weighted regression.
 
@@ -64,9 +64,9 @@ def fit_penalized(
     against the final aw, so the reported pair satisfies the weighted normal
     equations exactly.  It takes a block too, with one lambda per replication.
 
-    ``lam`` is the penalty level; None takes the rule
-    n ** (1e-4 - pi_uc_hat / 2) of ``km.lambda_rule``.  A level that is not
-    positive and finite raises ValueError from ``soft_threshold_step``.
+    ``lam`` is the penalty level, or a block's one per replication; None takes the
+    rule n ** (1e-4 - pi_uc_hat / 2) of ``km.lambda_rule``.  A level that is not
+    positive and finite, or levels of another shape, raise ValueError.
     """
     design = build_weighted_design(sorted_sample, kw)
     n = design.yw.shape[-1]
@@ -74,6 +74,8 @@ def fit_penalized(
         levels = [lambda_rule(n, float(pi)) for pi in np.ravel(design.pi_uc_hat)]
         lam = np.reshape(levels, np.shape(design.pi_uc_hat))
     lam = _per_sample(np.array(lam, dtype=float))  # the Fit freezes a copy, not the caller's array
+    if np.shape(lam) not in ((), design.yw.shape[:-1]):
+        raise ValueError(f"lam has shape {np.shape(lam)}: give one level, or one per replication")
 
     aw = np.zeros(design.yw.shape)
     trace = []

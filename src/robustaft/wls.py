@@ -140,6 +140,8 @@ class Fit:
         object.__setattr__(self, "outliers", _frozen(np.asarray(self.outliers, dtype=np.int64)))
         if self.objective_trace is not None:
             object.__setattr__(self, "objective_trace", _frozen(self.objective_trace))
+        if isinstance(self.lam, np.ndarray):  # a block's levels; a sample's float stays a float
+            object.__setattr__(self, "lam", _frozen(self.lam))
 
     @property
     def beta_tilde(self) -> np.ndarray:

@@ -13,8 +13,6 @@ import pytest
 from robustaft import (
     DgpConfig,
     SurvivalSample,
-    build_weighted_design,
-    compute_psi,
     fit_penalized,
     fit_two_step,
     generate_sample,
@@ -23,9 +21,11 @@ from robustaft import (
     sort_sample,
     stute_fit,
 )
-import robustaft.penalized as penalized
 from robustaft.cli import main
+from robustaft.inference import compute_psi
+import robustaft.penalized as penalized
 from robustaft.simulation import BLOCK_ELEMS, _cell_seed, _draw
+from robustaft.wls import build_weighted_design
 from oracles import km_jump_weights, l1_shift_objective_min, psi_double_loop, random_instance, shift_pair
 
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustaft import DgpConfig, SurvivalSample, data, generate_sample, load_csv, sort_sample, write_csv
+from robustaft import DgpConfig, SurvivalSample, generate_sample, load_csv, sort_sample
+import robustaft.data as data
+from robustaft.data import write_csv
 
 
 def make_sample(y, delta, x=None):

@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from robustaft import (
     DgpConfig,
     SurvivalSample,
-    build_weighted_design,
-    censoring_km,
-    compute_psi,
     fit_penalized,
     fit_two_step,
     generate_sample,
@@ -21,8 +18,9 @@ from robustaft import (
     stute_fit,
 )
 from robustaft.data import _adopt
-from robustaft.inference import _tail_terms
+from robustaft.inference import _tail_terms, censoring_km, compute_psi
 from robustaft.simulation import _cell_seed, _draw
+from robustaft.wls import build_weighted_design
 from oracles import psi_double_loop, random_instance, shift_pair
 
 Z_975 = 1.959963984540054

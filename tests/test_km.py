@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustaft import SurvivalSample, km_weights, lambda_rule, sort_sample
+from robustaft import SurvivalSample, km_weights, sort_sample
+from robustaft.km import lambda_rule
 from oracles import km_jump_weights
 
 

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from robustaft import (
     DgpConfig,
     SurvivalSample,
-    build_weighted_design,
     fit_penalized,
     generate_sample,
     km_weights,
-    soft_threshold_step,
     sort_sample,
     stute_fit,
-    wls_solve,
 )
 import robustaft.penalized as penalized
+from robustaft.penalized import soft_threshold_step
 from robustaft.simulation import _cell_seed, _draw
+from robustaft.wls import build_weighted_design, wls_solve
 from oracles import l1_shift_objective_min, random_instance
 
 
@@ -200,6 +199,18 @@ class TestFitPenalized:
         fit = fit_penalized(ss, kw, np.array(0.3))
         assert type(fit.lam) is float and fit.lam == 0.3
         assert fit.beta.tobytes() == fit_penalized(ss, kw, 0.3).beta.tobytes()
+
+    def test_a_level_of_the_wrong_shape_raises_before_the_first_solve(self):
+        """One level in a list, or one per row, raises a ValueError that names its shape
+        before any Gram is inverted, for a sample and for a block."""
+        sample = generate_sample(DgpConfig(n=200, mu=2.0))
+        block = _draw(DgpConfig(n=200, mu=2.0), [_cell_seed(5, 0, j) for j in range(3)])
+        for drawn in (sample, block):
+            ss, kw = prepare(drawn)
+            for lam in ([0.5], np.full(kw.yw.shape, 0.5)):
+                with pytest.raises(ValueError, match=rf"lam has shape \({np.shape(lam)[0]},"):
+                    fit_penalized(ss, kw, lam)
+            assert ("inverse", b"") not in vars(kw)  # no Gram was inverted
 
 
 def test_gross_outliers_are_flagged_with_high_probability():

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from robustaft import (
-    DEFAULT_TAU0,
     Fit,
     SingularGramError,
     SurvivalSample,
-    build_weighted_design,
-    detect_outliers,
     fit_penalized,
     fit_two_step,
     km_weights,
     sort_sample,
     stute_fit,
 )
+from robustaft.two_step import DEFAULT_TAU0, detect_outliers
+from robustaft.wls import build_weighted_design
 from oracles import joint_screened_beta, random_instance
 
 

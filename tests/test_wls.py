@@ -9,7 +9,6 @@ from robustaft import (
     Fit,
     SingularGramError,
     SurvivalSample,
-    build_weighted_design,
     fit_penalized,
     fit_two_step,
     generate_sample,
@@ -18,11 +17,10 @@ from robustaft import (
     sandwich_ci,
     sort_sample,
     stute_fit,
-    wls_solve,
-    write_csv,
 )
+from robustaft.data import write_csv
 from robustaft.simulation import BETA, _cell_seed, _draw
-from robustaft.wls import _gram_inverse, _singular
+from robustaft.wls import _gram_inverse, _singular, build_weighted_design, wls_solve
 from oracles import ols_lstsq
 
 
@@ -255,10 +253,18 @@ class TestFit:
             assert all(inf.beta is fit.beta for inf, fit in zip(sandwiches, fits))
 
     def test_a_callers_objective_trace_is_copied(self):
-        """A caller's ``objective_trace`` is held as a read-only copy with its values;
-        the caller's array stays writeable and unaliased."""
+        """A caller's ``objective_trace``, and a block's ``lam`` array, are held as
+        read-only copies with their values; the caller's arrays stay writeable and
+        unaliased.  A float ``lam`` stays a float."""
         trace = np.array([3.0, 2.5, 2.5])
         fit = Fit(beta=np.zeros(2), alpha_w=np.zeros(3), objective_trace=trace)
         assert np.array_equal(fit.objective_trace, trace)
         assert not fit.objective_trace.flags.writeable and trace.flags.writeable
         assert not np.shares_memory(trace, fit.objective_trace)
+
+        lam = np.array([0.5, 0.7])  # one level per replication
+        fit = Fit(beta=np.zeros((2, 2)), alpha_w=np.zeros((2, 3)), lam=lam)
+        assert np.array_equal(fit.lam, lam)
+        assert not fit.lam.flags.writeable and lam.flags.writeable
+        assert not np.shares_memory(lam, fit.lam)
+        assert type(Fit(beta=np.zeros(2), alpha_w=np.zeros(3), lam=0.5).lam) is float
