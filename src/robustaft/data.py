@@ -16,6 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
+import os
+import stat
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -193,12 +196,14 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
 # ``np.loadtxt`` returns is what the csv module and ``float()`` read, to the bit,
 # as long as no field passes the csv field size limit.
 _BULK_ALPHABET = b"0123456789eE+-., \t\r\n"
+_LOADTXT = dict(delimiter=",", comments=None, ndmin=2, dtype=float)
+_SAME_FILE = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 def load_csv(path) -> SurvivalSample:
     """Read a sample from a CSV file with header ``y,delta,x1,...,xp``.
 
-    The file, or the pipe, is read once as bytes, and a leading UTF-8
+    The file, or the pipe, is read as bytes, and a leading UTF-8
     byte-order mark is dropped.  A file that is not ASCII is checked as UTF-8
     once, first, so a byte that is not UTF-8 is named by its own line before
     any header or row error.  The csv module reads and checks the header from
@@ -206,13 +211,13 @@ def load_csv(path) -> SurvivalSample:
     paths, both giving an (n, p + 2) table for the same ``SurvivalSample``
     constructor (whose n > p check applies to either):
 
-    - **Bulk:** one ``np.loadtxt`` pass over the undecoded bytes, taken only
-      when the body is drawn from the digits, ``eE+-.,``, space, tab, CR and
-      LF, no LF-separated line reaches ``csv.field_size_limit()`` (``loadtxt``
-      has no such limit), and the parsed table has p + 2 columns, finite
-      entries and every delta 0 or 1.  On that alphabet ``loadtxt`` rejects
-      any CR not followed by LF, skips only empty lines and converts with the
-      same correctly rounded routine as ``float()``.
+    - **Bulk:** one ``np.loadtxt`` pass, taken only when the body is drawn from
+      the digits, ``eE+-.,``, space, tab, CR and LF, no LF-separated line reaches
+      ``csv.field_size_limit()`` (``loadtxt`` has no such limit), and the table
+      has p + 2 columns, finite entries and every delta 0 or 1.  It skips only
+      empty lines and converts as ``float()`` does.  It re-reads an unchanged
+      regular file by name, in chunks (CRLF, CR or LF ends a line), and else
+      reads the bytes line by line (a CR not followed by LF is rejected).
     - **Scan:** anything else (``nan``, ``inf``, ``1_0``, quoted fields, other
       whitespace, non-ASCII text, long fields, malformed rows) is read row by
       row with ``float()`` by the csv reader that read the header, from the
@@ -226,6 +231,8 @@ def load_csv(path) -> SurvivalSample:
     """
     with open(path, "rb") as fh:
         raw = fh.read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
+        st = os.fstat(fh.fileno())
+        whole = isinstance(fh.name, str) and stat.S_ISREG(st.st_mode) and st.st_size == fh.tell()
     if not raw.isascii():
         try:
             raw.decode()
@@ -240,7 +247,8 @@ def load_csv(path) -> SurvivalSample:
             # offset); the reader then carries on from the body's first line
             text.seek(0)
             header = "".join(text.readline() for _ in range(reader.line_num))
-            table = _parse_bulk(raw[len(header.encode()) :], len(names))
+            file = (os.path.join(os.curdir, fh.name), reader.line_num, st) if whole else None
+            table = _parse_bulk(raw[len(header.encode()) :], len(names), file)
             if table is None:
                 table = _scan(reader, names, path)
         except csv.Error as err:
@@ -248,8 +256,10 @@ def load_csv(path) -> SurvivalSample:
     return SurvivalSample(y=table[:, 0], delta=table[:, 1], x=table[:, 2:])
 
 
-def _parse_bulk(raw: bytes, width: int) -> np.ndarray | None:
-    """The body ``raw`` as an (n, width) table, or None when it needs the scan."""
+def _parse_bulk(raw: bytes, width: int, file: tuple | None) -> np.ndarray | None:
+    """The body ``raw`` as an (n, width) table, or None when it needs the scan.  ``file`` is None
+    or (name, header lines, stat) of the regular file read as ``raw``; its name starts with "."
+    or "/", so numpy never takes it for a URL."""
     # A blank body makes loadtxt warn; the scan reports it as "no data rows".
     if not raw or raw.isspace() or raw.translate(None, _BULK_ALPHABET):
         return None
@@ -262,16 +272,17 @@ def _parse_bulk(raw: bytes, width: int) -> np.ndarray | None:
         line_ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
         if np.diff(line_ends, prepend=-1, append=len(raw)).max() > limit:
             return None
+    try:  # numpy reads a path in large chunks, and anything else line by line
+        got = np.loadtxt(file[0], skiprows=file[1], encoding="utf-8", **_LOADTXT) if file else None
+        table = got if file and _SAME_FILE(os.stat(file[0])) == _SAME_FILE(file[2]) else None
+    except Exception:  # a plain *.gz or *.xz, say, which numpy opens as an archive
+        table = None
     try:
-        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2, dtype=float)
+        table = np.loadtxt(io.BytesIO(raw), **_LOADTXT) if table is None else table
     except ValueError:
         return None
-    if table.shape[1] != width:
-        return None
-    delta = table[:, 1]
-    if not (((delta == 0.0) | (delta == 1.0)).all() and np.isfinite(table).all()):
-        return None
-    return table
+    ok = table.shape[1] == width and np.isfinite(table).all()
+    return table if ok and ((table[:, 1] == 0.0) | (table[:, 1] == 1.0)).all() else None
 
 
 def _read_header(reader, path) -> list[str]:

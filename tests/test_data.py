@@ -1,8 +1,11 @@
 import csv
 import dataclasses
+import io
 import os
 import threading
 import tracemalloc
+import types
+import urllib.request
 import warnings
 
 import numpy as np
@@ -437,7 +440,8 @@ BULK_VS_SCAN = {
     "float-delta": ("y,delta,x1\n1,1.0,2\n2,0.0,3\n2,1e0,4\n", False),
     "quoted-number": ('y,delta,x1\n"1",1,2\n' + ROWS, True),
     "trailing-comma": ("y,delta,x1\n1,1,2,\n" + ROWS, True),
-    "cr-only": ("y,delta,x1\r1,1,2\r2,0,3\r3,1,5\r", True),
+    # a file is re-read in universal-newline text mode, where a lone CR ends a line
+    "cr-only": ("y,delta,x1\r1,1,2\r2,0,3\r3,1,5\r", False),
     "crlf": ("y,delta,x1\r\n1,1,2\r\n2,0,3\r\n3,1,5\r\n", False),
     "blank-lines": ("y,delta,x1\n\n1,1,2\n\n\n2,0,3\r\n\n3,1,5", False),
     "whitespace-line": ("y,delta,x1\n1,1,2\n \t\n" + ROWS, True),
@@ -478,7 +482,7 @@ class TestBulkParse:
     def _scan_outcome(monkeypatch, path):
         """``load_csv`` with the bulk parse switched off: the header check and the row scan alone."""
         with monkeypatch.context() as m:
-            m.setattr(data, "_parse_bulk", lambda raw, width: None)
+            m.setattr(data, "_parse_bulk", lambda raw, width, file: None)
             return _outcome(lambda: load_csv(path))
 
     @staticmethod
@@ -657,3 +661,199 @@ class TestLineEnds:
     def test_the_scan_counts_the_lines_of_a_two_line_header(self, tmp_path, body, message):
         text = ('"y\n",delta,x1\n' + body).encode("ascii")
         assert _file_and_pipe_outcomes(tmp_path, text) == [f"<src>: {message}"] * 2
+
+
+def _spy_on_loadtxt(monkeypatch, before=None):
+    """Record each ``np.loadtxt`` call's input and ``skiprows``; ``before(fname)`` runs
+    ahead of the real parse."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        calls.append((fname, kwargs.get("skiprows", 0)))
+        if before is not None:
+            before(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+CLEAN = b"y,delta,x1\r\n1,1,2\r\n2,0,3\r\n3,1,5\r\n"
+CLEAN_SAMPLE = _outcome(lambda: make_sample([1.0, 2.0, 3.0], [1, 0, 1], [[2.0], [3.0], [5.0]]))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestFileRoute:
+    """A regular file's body is parsed from its name, and only while the file is
+    the one whose bytes were read; any other input is parsed from those bytes."""
+
+    def test_a_clean_crlf_file_is_parsed_from_its_str_name(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_bytes(CLEAN)
+        calls = _spy_on_loadtxt(monkeypatch)
+        assert _outcome(lambda: load_csv(path)) == CLEAN_SAMPLE
+        assert calls == [(str(path), 1)]
+        calls.clear()
+        assert _outcome(lambda: load_csv(str(path))) == CLEAN_SAMPLE
+        assert calls == [(str(path), 1)]
+
+    def test_a_two_line_quoted_header_skips_two_lines(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'"y\r\n",delta,x1\r\n' + CLEAN.split(b"\r\n", 1)[1])
+        calls = _spy_on_loadtxt(monkeypatch)
+        assert _outcome(lambda: load_csv(path)) == CLEAN_SAMPLE
+        assert calls == [(str(path), 2)]
+
+    def test_a_relative_name_is_never_fetched_as_a_url(self, tmp_path, monkeypatch):
+        fetched = []
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: fetched.append(a))
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "d.csv").write_bytes(CLEAN)
+        monkeypatch.chdir(tmp_path)
+        calls = _spy_on_loadtxt(monkeypatch)
+        assert _outcome(lambda: load_csv("http://host/d.csv")) == CLEAN_SAMPLE
+        assert calls == [("./http://host/d.csv", 1)] and fetched == []
+
+    @pytest.mark.parametrize("name", ["d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.csv.lzma"])
+    def test_a_plain_file_named_like_an_archive_loads_from_its_bytes(self, tmp_path, monkeypatch, name):
+        """numpy opens these names as archives and fails; the bytes already read decide."""
+        path = tmp_path / name
+        path.write_bytes(CLEAN)
+        calls = _spy_on_loadtxt(monkeypatch)
+        assert _outcome(lambda: load_csv(path)) == CLEAN_SAMPLE
+        assert calls[0] == (str(path), 1) and isinstance(calls[-1][0], io.BytesIO)
+
+    def test_a_bytes_path_an_fd_and_a_pipe_are_parsed_from_their_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_bytes(CLEAN)
+        calls = _spy_on_loadtxt(monkeypatch)
+        assert _outcome(lambda: load_csv(os.fsencode(path))) == CLEAN_SAMPLE
+        fd = os.open(path, os.O_RDONLY)
+        assert _outcome(lambda: load_csv(fd)) == CLEAN_SAMPLE  # open() closes fd
+        read_end, write_end = os.pipe()
+        os.write(write_end, CLEAN)
+        os.close(write_end)
+        try:
+            assert _outcome(lambda: load_csv(f"/dev/fd/{read_end}")) == CLEAN_SAMPLE
+        finally:
+            os.close(read_end)
+        assert len(calls) == 3 and all(isinstance(fname, io.BytesIO) for fname, _ in calls)
+
+    def test_a_regular_file_by_dev_fd_may_take_the_file_route(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_bytes(CLEAN)
+        calls = _spy_on_loadtxt(monkeypatch)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            got = _outcome(lambda: load_csv(f"/dev/fd/{fd}"))
+        finally:
+            os.close(fd)
+        assert got == CLEAN_SAMPLE
+        assert calls == [(f"/dev/fd/{fd}", 1)]
+
+    def test_a_cr_only_pipe_takes_the_scan(self, tmp_path, monkeypatch):
+        """In memory, loadtxt rejects a lone CR, so the row scan reads the pipe."""
+        calls = TestBulkParse._spy_on_scan(monkeypatch)
+        text = BULK_VS_SCAN["cr-only"][0].encode("ascii")
+        from_file, from_pipe = _file_and_pipe_outcomes(tmp_path, text)
+        assert from_pipe == from_file and not isinstance(from_file, str), from_file
+        assert len(calls) == 1 and calls[0].startswith("/dev/fd/")  # the pipe's alone
+
+    def test_a_file_that_grew_while_it_was_read_is_parsed_from_its_bytes(self, tmp_path, monkeypatch):
+        """A size beyond the bytes read means the first read missed some: the re-read
+        would hold rows that the bytes do not, so it is not taken."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(CLEAN)
+        fstat = os.fstat
+
+        def grow_then_fstat(fd):
+            with open(path, "ab") as fh:
+                fh.write(b"4,1,7\r\n")
+            return fstat(fd)
+
+        monkeypatch.setattr(data.os, "fstat", grow_then_fstat)
+        calls = _spy_on_loadtxt(monkeypatch)
+        assert _outcome(lambda: load_csv(path)) == CLEAN_SAMPLE
+        assert [type(fname) for fname, _ in calls] == [io.BytesIO]
+
+    @pytest.mark.parametrize("change", ["grow", "same-size-new-mtime", "stat-says-new-mtime", "delete"])
+    def test_a_file_changed_before_the_parse_gives_the_first_read(self, tmp_path, monkeypatch, change):
+        """Whatever happens to the file after its bytes were read, the sample is the
+        one those bytes hold, never the second read's or a mix of the two."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(CLEAN)
+        stat = os.stat
+
+        def rewrite(fname):
+            if not isinstance(fname, str):
+                return
+            if change == "grow":
+                path.write_bytes(CLEAN + b"4,1,7\r\n")
+            elif change == "same-size-new-mtime":
+                before = stat(path)
+                path.write_bytes(CLEAN.replace(b"5", b"6"))
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1_000_000_000))
+            elif change == "delete":
+                path.unlink()
+
+        def new_mtime(name, *args, **kwargs):
+            st = stat(name, *args, **kwargs)
+            if name != str(path):
+                return st
+            fields = {k: getattr(st, k) for k in dir(st) if k.startswith("st_")}
+            return types.SimpleNamespace(**{**fields, "st_mtime_ns": st.st_mtime_ns + 1})
+
+        if change == "stat-says-new-mtime":
+            monkeypatch.setattr(data.os, "stat", new_mtime)
+        calls = _spy_on_loadtxt(monkeypatch, before=rewrite)
+        assert _outcome(lambda: load_csv(path)) == CLEAN_SAMPLE
+        assert [type(fname) for fname, _ in calls] == [str, io.BytesIO]
+
+
+DELTAS = ["0", "1", "+1", "-0", "+0", "0.", "1.0", ".0", "1e0", "10e-1", "0E5", "-0.0"]
+
+
+def _field(draw, delta: bool = False) -> str:
+    """A number as a user may write it: signs, ``.5`` and ``5.``, exponents, padding."""
+    pad = st.text(alphabet=" \t", max_size=2)
+    if delta:
+        return draw(pad) + draw(st.sampled_from(DELTAS)) + draw(pad)
+    whole = draw(st.text(alphabet="0123456789", max_size=4))
+    frac = draw(st.text(alphabet="0123456789", min_size=0 if whole else 1, max_size=17))
+    point = "." if frac or draw(st.booleans()) else ""
+    number = draw(st.sampled_from(["", "-", "+"])) + whole + point + frac
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        number += draw(st.sampled_from("eE")) + sign + str(draw(st.integers(0, 330)))
+    return draw(pad) + number + draw(pad)
+
+
+@st.composite
+def _bodies(draw):
+    """A CSV file over ``_BULK_ALPHABET`` (after its header), with mixed line ends,
+    blank lines, an optional BOM and an optional final line end."""
+    p = draw(st.integers(1, 2))
+    n = draw(st.integers(p + 1, 8))
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    text = ",".join(data._header(p)) + draw(end)
+    for i in range(n):
+        text += "".join(draw(st.lists(end, max_size=2)))  # blank lines
+        fields = [_field(draw), _field(draw, delta=True)] + [_field(draw) for _ in range(p)]
+        text += ",".join(fields) + (draw(end) if i < n - 1 or draw(st.booleans()) else "")
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("ascii")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@settings(max_examples=150, deadline=None)
+@given(text=_bodies())
+def test_the_file_the_pipe_and_the_scan_read_the_same_bits(tmp_path_factory, text):
+    tmp_path = tmp_path_factory.mktemp("route")
+    from_file, from_pipe = _file_and_pipe_outcomes(tmp_path, text)
+    parse_bulk = data._parse_bulk
+    data._parse_bulk = lambda raw, width, file: None
+    try:
+        from_scan = _file_and_pipe_outcomes(tmp_path, text)[0]
+    finally:
+        data._parse_bulk = parse_bulk
+    assert from_file == from_pipe == from_scan
