@@ -138,16 +138,15 @@ class SortedSample:
     ``perm`` maps sorted position -> original row index, so
     ``base.y[i] == original.y[perm[i]]``.  Within a tie group of equal y,
     uncensored observations come first (deaths before censorings, the
-    standard Kaplan-Meier convention).  Tie group g spans rows
-    ``first[g]:stop[g]``.  In a block the tie groups of all replications are
-    numbered in one sequence, and ``first`` and ``stop`` are offsets into the
-    flattened (R * n) rows, so a group never spans two replications.
+    standard Kaplan-Meier convention).  ``bounds`` holds the tie groups' ascending
+    int64 offsets into the flattened (R * n) rows: group g spans rows
+    ``bounds[g]:bounds[g + 1]``, from ``bounds[0] == 0`` to ``bounds[-1] == R * n``, and
+    a block numbers its replications' groups in one sequence, none spanning two.
     """
 
     base: SurvivalSample
     perm: np.ndarray
-    first: np.ndarray
-    stop: np.ndarray
+    bounds: np.ndarray
 
 
 def sort_sample(sample: SurvivalSample) -> SortedSample:
@@ -166,15 +165,14 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
     offsets = np.arange(0, sample.y.size, n).reshape(shape[:-1] + (1,))
     rows = order + offsets
     y = np.take(sample.y, rows)
-    starts = np.ones(shape, dtype=bool)
-    starts[..., 1:] = y[..., 1:] != y[..., :-1]
-    first = np.flatnonzero(starts)
-    stop = np.append(first[1:], y.size)
-    if first.shape[0] < y.size:
+    starts = np.ones(y.size + 1, dtype=bool)  # each replication's first row, and R * n
+    starts[:-1].reshape(shape)[..., 1:] = y[..., 1:] != y[..., :-1]
+    bounds = np.flatnonzero(starts)
+    if bounds.size <= y.size:
         # a tie: order each group's rows by (delta descending, row index), which a
         # sort of the unique key gives whatever order the first sort left them in
         shift = (n - 1).bit_length()
-        key = np.repeat(np.arange(1, 2 * first.shape[0], 2), stop - first).reshape(shape)
+        key = np.repeat(np.arange(1, 2 * bounds.size - 2, 2), np.diff(bounds)).reshape(shape)
         key -= np.take(sample.delta, rows)
         key <<= shift
         key |= order
@@ -189,7 +187,7 @@ def sort_sample(sample: SurvivalSample) -> SortedSample:
         delta=np.take(sample.delta, rows),
         x=np.take(sample.x.reshape(-1, sample.p), rows, axis=0),
     )
-    return _adopt(SortedSample, base=base, perm=order, first=first, stop=stop)
+    return _adopt(SortedSample, base=base, perm=order, bounds=bounds)
 
 
 # The bytes a body may hold for the bulk parse.  On this alphabet every table

@@ -34,7 +34,7 @@ from .data import SortedSample, _adopt, _freeze, _memo
 from .km import _product_limit
 from .wls import _NO_ROWS, Fit, WeightedDesign, _checked_inverse, build_weighted_design
 
-# Row chunks a tied sample's slot tables are gathered to rows in, one at a time.
+# Runs of whole tie groups a tied sample's slot values are gathered to rows in, one at a time.
 _GATHER_CHUNKS = 8
 _NO_SHIFTS = (_NO_ROWS, _freeze(np.empty(0)))  # every row's shift zero
 
@@ -56,37 +56,36 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
     """Kaplan-Meier fit of the censoring distribution on the observed sample.
 
     Returns the right-continuous G(t) at each tie group's outcome t, as a
-    read-only array indexed like ``sorted_sample.first`` (for a block, every
-    replication's groups in one sequence).  Ties follow the sorted sample's
+    read-only array with one entry per group of ``sorted_sample.bounds`` (for a
+    block, every replication's groups in one sequence).  Ties follow the sorted sample's
     convention: failures precede censorings at equal times, so censoring
     events see the risk set already reduced by the failures at that time.
     """
     survival = _product_limit(sorted_sample.base.delta == 0).ravel()
-    return _freeze(1.0 - survival[sorted_sample.stop - 1])
+    return _freeze(1.0 - survival[sorted_sample.bounds[1:] - 1])
 
 
 def _tail_terms(sorted_sample: SortedSample) -> tuple:
     """Sample-only part of psi, with one table slot per tie group in row order and
     ``width`` (the most groups of any replication) slots per replication: each group's
-    slot and each slot's row count (``...`` and None when each group is one row, so each
-    slot is its row and no index is kept); each row's 1 - G(Y-), +inf on censored rows
-    so that dividing by it also multiplies by delta; per slot 1 - H and (1 - H)^2 over
-    the censored count, +inf on a top group, past a replication's last group and (the
-    second) on a group with no censored row; per row whether it is censored."""
+    slot (``...`` when each group is one row, so each slot is its row and no index is
+    kept); each row's 1 - G(Y-), +inf on censored rows so that dividing by it also
+    multiplies by delta; per slot 1 - H and (1 - H)^2 over the censored count, +inf on
+    a top group, past a replication's last group and (the second) on a group with no
+    censored row; per row whether it is censored."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
-    first, stop = sorted_sample.first, sorted_sample.stop
+    bounds = sorted_sample.bounds
+    first, stop = bounds[:-1], bounds[1:]
     rep, size = first // n, stop - first  # each group's replication and row count
     censored = delta == 0
     # G(Y-) of a row is G at the tie group below its own, and 0 in its replication's lowest group
     below = np.concatenate(([0.0], censoring_km(sorted_sample)[:-1]))
     surv_g = 1.0 - np.where(first == rep * n, 0.0, below)
-    slot, counts, width, count = ..., None, n, censored.ravel()  # count: censored rows per group
-    if first.shape[0] < delta.size:  # ties: group-level values repeat over their rows
-        local = np.arange(first.shape[0]) - np.searchsorted(first, np.arange(0, delta.size, n))[rep]
+    slot, width, count = ..., n, censored.ravel()  # count: censored rows per group
+    if bounds.size <= delta.size:  # ties: group-level values repeat over their rows
+        local = np.arange(first.size) - np.searchsorted(first, np.arange(0, delta.size, n))[rep]
         width = local.max() + 1
         slot = rep * width + local
-        counts = np.zeros(delta.size // n * width, dtype=size.dtype)
-        counts[slot] = size
         surv_g, count = np.repeat(surv_g, size), np.add.reduceat(count, first, dtype=float)
     denom_g = np.where(censored, np.inf, surv_g.reshape(delta.shape))
     surv_h = (n - (stop - rep * n)) / n  # 1 - H(Y) on each group
@@ -95,7 +94,7 @@ def _tail_terms(sorted_sample: SortedSample) -> tuple:
     with np.errstate(divide="ignore"):  # +inf on a group with no censored row
         tables[0, slot], tables[1, slot] = surv_h, surv_h**2 / count
     denom_h, denom_h2 = tables.reshape((2,) + delta.shape[:-1] + (width,))
-    return slot, counts, denom_g, denom_h, denom_h2, censored
+    return slot, denom_g, denom_h, denom_h2, censored
 
 
 def compute_psi(
@@ -115,16 +114,17 @@ def compute_psi(
 
     Per sample, computed by the first call and kept on the sorted sample: the censoring
     KM fit, the 1 - G and 1 - H denominators, (1 - H)^2 over each tie group's censored
-    count and, if tied, each group's slot and each slot's row count.  Per fit, on every
-    call: the summands c, gamma1's suffix and gamma2's prefix sums over the tie groups
-    and, if tied, c's sum over each group and its gathers to rows by ``np.repeat``,
-    ``_GATHER_CHUNKS`` runs of rows at a time.
+    count and, if tied, each group's slot.  Per fit, on every call: the summands c,
+    gamma1's suffix and gamma2's prefix sums over the tie groups and, if tied, c's sum
+    over each group of ``sorted_sample.bounds`` and the gathers of the slot values to
+    rows by ``np.repeat``, ``_GATHER_CHUNKS`` runs of groups at a time.
     """
-    base = sorted_sample.base
+    base, bounds = sorted_sample.base, sorted_sample.bounds
     y, x = base.y, base.x
     n, p = base.n, base.p
+    tied = bounds.size <= y.size
     tails = _memo(sorted_sample, ("psi",), lambda: _tail_terms(sorted_sample))
-    slot, counts, denom_g, denom_h, denom_h2, censored = tails
+    slot, denom_g, denom_h, denom_h2, censored = tails
 
     # everything below is (p, rows) or (p, slots), with a block's replication axis
     # after p, so each pass runs along the long axis
@@ -145,9 +145,9 @@ def compute_psi(
     # into its slot, zero past a replication's last group.  Untied, the sums and the
     # gathers would give the same bits at 1.7x the cost, so c is its own group sum
     sums = c
-    if counts is not None:
+    if tied:
         sums = np.zeros((p,) + denom_h.shape)
-        sums.reshape(p, -1)[:, slot] = np.add.reduceat(c.reshape(p, -1), sorted_sample.first, -1)
+        sums.reshape(p, -1)[:, slot] = np.add.reduceat(c.reshape(p, -1), bounds[:-1], -1)
     # gamma1's suffix sums: suf[..., j] = sum of c over the groups above group j
     suf = np.empty((p,) + denom_h.shape)
     suf[..., -1] = 0.0
@@ -165,22 +165,21 @@ def compute_psi(
     suf /= n * denom_h  # gamma1 on each group
 
     # c + gamma1 on censored rows - gamma2, built in c's buffer
-    if counts is None:
+    if not tied:
         np.add(c, suf, out=c, where=censored)
         c -= pre
         return np.moveaxis(c, 0, -1)
-    # tied: each slot repeats over its rows, in _GATHER_CHUNKS runs of whole slots
-    # of about equal rows, so a gather is a fraction of one n-row array
-    starts = np.concatenate(([0], np.cumsum(counts)))  # rows before each slot
-    cuts = np.searchsorted(starts, np.arange(_GATHER_CHUNKS + 1) * starts[-1] // _GATHER_CHUNKS)
+    # tied: each group's slot value repeats over its rows, in _GATHER_CHUNKS runs of
+    # whole groups of about equal rows, so a gather is a fraction of one n-row array
+    cuts = np.searchsorted(bounds, np.arange(_GATHER_CHUNKS + 1) * bounds[-1] // _GATHER_CHUNKS)
     rows = c.reshape(p, -1)
     suf, pre, censored = suf.reshape(p, -1), pre.reshape(p, -1), censored.ravel()
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        r, each = slice(starts[lo], starts[hi]), counts[lo:hi]
+        r, at, each = slice(bounds[lo], bounds[hi]), slot[lo:hi], np.diff(bounds[lo : hi + 1])
         for k in range(p):
             out = rows[k, r]
-            np.add(out, np.repeat(suf[k, lo:hi], each), out=out, where=censored[r])
-            out -= np.repeat(pre[k, lo:hi], each)
+            np.add(out, np.repeat(suf[k, at], each), out=out, where=censored[r])
+            out -= np.repeat(pre[k, at], each)
     return np.moveaxis(c, 0, -1)
 
 

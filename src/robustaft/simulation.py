@@ -7,9 +7,9 @@ is censored by an independent Normal(mu, 1) variable; shifting mu moves the
 uncensored fraction between roughly 64% (mu = 2) and 99% (mu = 5).
 
 Randomness comes from numpy's PCG64 generator.  Each (mu, replication) cell
-derives its own 64-bit seed by XOR-ing the study seed with a BLAKE2b hash of
-the cell coordinates, so each cell's sample depends only on the study seed and
-the cell's place in the grid.
+derives its own 64-bit seed by XOR-ing the study seed, in [0, 2**64), with a
+BLAKE2b hash of the cell coordinates, so each cell's sample depends only on the
+study seed and the cell's place in the grid.
 
 The study evaluates each mu's replications in blocks of R samples held as
 (R, n) arrays.  The public ``stute_fit``, ``fit_penalized``, ``fit_two_step``
@@ -150,7 +150,7 @@ def _draw(cfg: DgpConfig, seeds) -> SurvivalSample:
 def _cell_seed(base_seed: int, mu_index: int, rep_index: int) -> int:
     payload = mu_index.to_bytes(8, "little") + rep_index.to_bytes(8, "little")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return (base_seed ^ int.from_bytes(digest, "little")) & 0xFFFFFFFFFFFFFFFF
+    return base_seed ^ int.from_bytes(digest, "little")
 
 
 def _run_block(sample: SurvivalSample, true_slope: float) -> dict:
@@ -178,6 +178,8 @@ def _check_study(reps: int, base_cfg: DgpConfig) -> None:
     """Reject a study that cannot run, before any work: ``run_study``'s argument checks."""
     if reps < 2:
         raise ValueError("reps must be at least 2")
+    if not 0 <= base_cfg.seed < 2**64:  # each cell's seed is the study seed XOR a 64-bit hash
+        raise ValueError(f"seed must lie in [0, 2**64), got {base_cfg.seed}")
     _check_size(base_cfg.n, len(BETA))
 
 

@@ -101,7 +101,7 @@ class TestSort:
         for y, delta in cases:
             ss = sort_sample(make_sample(y, delta))
             ys = ss.base.y
-            first, stop = ss.first, ss.stop
+            first, stop = ss.bounds[:-1], ss.bounds[1:]
             group = np.repeat(np.arange(first.size), stop - first)
             assert np.array_equal(first[group], np.searchsorted(ys, ys, side="left"))
             assert np.array_equal(stop[group], np.searchsorted(ys, ys, side="right"))
@@ -137,7 +137,7 @@ class TestSort:
             ys = ss.base.y.ravel()
             assert ys.tobytes() == np.take_along_axis(sample.y, ss.perm, -1).tobytes()
             # a block's groups never span replications: search each replication's rows
-            first, stop = ss.first, ss.stop
+            first, stop = ss.bounds[:-1], ss.bounds[1:]
             group = np.repeat(np.arange(first.size), stop - first)
             rows = ys.reshape(-1, n)
             offsets = np.arange(0, ys.size, n)
@@ -169,7 +169,7 @@ class TestSort:
     def test_gathers_match_fancy_indexing(self, p, tied, reps):
         """``base`` holds y[perm], delta[perm] and x[perm] to the bit, for a sample and
         a block, in fresh C-contiguous read-only arrays, and the tie groups
-        ``first[g]:stop[g]`` cover the rows in order."""
+        ``bounds[g]:bounds[g + 1]`` cover the rows in order."""
         n = 60
         shape = (n,) if reps is None else (reps, n)
         rng = np.random.default_rng(p + 2 * tied + 4 * (reps is None))
@@ -191,16 +191,17 @@ class TestSort:
         x_sorted = ss.base.x
         assert x_sorted.flags.c_contiguous and x_sorted.flags.owndata
         assert not x_sorted.flags.writeable
-        first, stop = ss.first, ss.stop
-        assert first[0] == 0 and np.array_equal(first[1:], stop[:-1]) and stop[-1] == y.size
-        assert first.size < y.size if tied else first.size == y.size
+        bounds = ss.bounds
+        assert bounds.dtype == np.int64 and bounds[0] == 0 and bounds[-1] == y.size
+        assert np.all(np.diff(bounds) > 0)
+        assert bounds.size - 1 < y.size if tied else bounds.size - 1 == y.size
 
     def test_an_untied_sort_keeps_no_per_row_group_id(self):
-        """A sorted sample describes its tie groups by ``first`` and ``stop`` alone:
-        an untied n = 1e5 sort (p = 2) holds base's y, delta and x, perm, first and
-        stop, seven n-row arrays of 8 bytes, and no per-row group id."""
+        """A sorted sample describes its tie groups by ``bounds`` alone: an untied
+        n = 1e5 sort (p = 2) holds base's y, a one-byte delta and x, perm and bounds,
+        5.1 n-row arrays of 8 bytes, and no per-row group id."""
         fields = [f.name for f in dataclasses.fields(data.SortedSample)]
-        assert fields == ["base", "perm", "first", "stop"]
+        assert fields == ["base", "perm", "bounds"]
         n = 100_000
         rng = np.random.default_rng(28)
         sample = make_sample(rng.normal(size=n), (rng.random(n) < 0.6).astype(int),
@@ -211,8 +212,8 @@ class TestSort:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ss.first.size == n
-        assert held <= 7.5 * 8 * n
+        assert ss.bounds.size == n + 1
+        assert held <= 5.5 * 8 * n
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)

@@ -80,8 +80,9 @@ class TestCensoringKM:
         for sample in (raw, tied, block):
             ss = sort_sample(sample)
             n, delta = ss.base.n, ss.base.delta
-            g_below = np.where(ss.first % n == 0, 0.0, np.concatenate(([0.0], censoring_km(ss)[:-1])))
-            surv_g = np.repeat(1.0 - g_below, ss.stop - ss.first).reshape(delta.shape)
+            first, stop = ss.bounds[:-1], ss.bounds[1:]
+            g_below = np.where(first % n == 0, 0.0, np.concatenate(([0.0], censoring_km(ss)[:-1])))
+            surv_g = np.repeat(1.0 - g_below, stop - first).reshape(delta.shape)
             lhs, rhs = n * km_weights(ss).w, delta / surv_g
             assert not lhs[delta == 0].any() and not rhs[delta == 0].any()
             assert np.max(np.abs(lhs - rhs)[delta == 1] / rhs[delta == 1]) <= 1e-11
@@ -162,9 +163,9 @@ class TestComputePsi:
         x = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.integers(0, 10, size=n).astype(float)
         ss = sort_sample(SurvivalSample(y=y, delta=(rng.random(n) < 0.6).astype(int), x=x))
-        failures = np.add.reduceat(ss.base.delta, ss.first)
-        assert ss.first.shape[0] == 10
-        assert np.all((failures > 0) & (failures < np.diff(ss.first, append=n)))
+        failures = np.add.reduceat(ss.base.delta, ss.bounds[:-1])
+        assert ss.bounds.size == 10 + 1
+        assert np.all((failures > 0) & (failures < np.diff(ss.bounds)))
         beta = rng.normal(size=2)
         alpha = np.where(rng.random(n) < 0.15, rng.normal(size=n) * 4.0, 0.0)
         ours = compute_psi(ss, beta, shift_pair(alpha))
@@ -197,14 +198,15 @@ class TestComputePsi:
             ss = sort_sample(SurvivalSample(y=y[0], delta=delta[0], x=x[0]))
         else:
             ss = sort_sample(_adopt(SurvivalSample, y=y, delta=delta, x=x))
-        slot, _, denom_g, denom_h, _, _ = _tail_terms(ss)
+        slot, denom_g, denom_h, _, _ = _tail_terms(ss)
         denom_h = denom_h.ravel()[slot]  # each group's 1 - H, read from its slot
-        group = np.repeat(np.arange(ss.first.size), ss.stop - ss.first)
+        first, stop = ss.bounds[:-1], ss.bounds[1:]
+        group = np.repeat(np.arange(first.size), stop - first)
         censored = ss.base.delta.ravel() == 0
-        top = ss.stop % n == 0  # each replication's top group
+        top = stop % n == 0  # each replication's top group
         bound = (1.0 - 1e-12) / n
         # 1 - G(Y-) on every row: G of the group below, 0 in a replication's lowest group
-        g_left = np.where(ss.first % n == 0, 0.0, np.concatenate(([0.0], censoring_km(ss)[:-1])))
+        g_left = np.where(first % n == 0, 0.0, np.concatenate(([0.0], censoring_km(ss)[:-1])))
         surv_g = 1.0 - g_left[group]
         assert np.all(surv_g >= bound)
         # psi divides by it on uncensored rows; +inf on censored rows multiplies by delta
@@ -212,7 +214,7 @@ class TestComputePsi:
         assert np.all(denom_h[group[censored & ~top[group]]] >= bound)
         # 1 - H is 0 only on a replication's top group, where psi reads +inf
         assert np.array_equal(denom_h == np.inf, top)
-        assert np.array_equal(denom_h[~top], (n - ss.stop[~top] % n) / n)
+        assert np.array_equal(denom_h[~top], (n - stop[~top] % n) / n)
         assert np.isfinite(compute_psi(ss, np.zeros(1))).all()
 
     def test_a_failed_fit_does_not_warn(self):
@@ -235,11 +237,11 @@ class TestComputePsi:
 
     def test_an_untied_sample_keeps_no_row_index_and_never_gathers(self, monkeypatch):
         """Untied, psi's cached tail terms are four n-row float arrays, with no n-long
-        integer array, and psi gathers nothing; tied, they hold one row count per
-        slot, which add up to n."""
+        integer array, and psi gathers nothing; tied, they hold one slot per tie group,
+        whose row counts, read from ``bounds``, add up to n."""
         raw = generate_sample(DgpConfig(n=20_000, mu=2.0, seed=3))
         ss = sort_sample(raw)
-        assert ss.first.shape[0] == raw.n
+        assert ss.bounds.size == raw.n + 1
         tracemalloc.start()
         try:
             tails = _tail_terms(ss)
@@ -261,8 +263,9 @@ class TestComputePsi:
         monkeypatch.undo()
 
         tied = sort_sample(SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x))
-        _, counts, _, denom_h, _, _ = _tail_terms(tied)
-        assert counts.shape == denom_h.shape == tied.first.shape
+        slot, _, denom_h, _, _ = _tail_terms(tied)
+        counts = np.diff(tied.bounds)  # each group's rows, which fill its slot
+        assert counts.shape == slot.shape == denom_h.shape
         assert counts.sum() == raw.n and counts.dtype.kind == "i"
 
 
@@ -306,7 +309,7 @@ class TestSandwichCi:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ss.first.shape[0] < sample.n // 50  # tied: psi gathers its slots to rows
+        assert ss.bounds.size - 1 < sample.n // 50  # tied: psi gathers its slots to rows
         assert peak <= 14.25 * sample.n * 8
 
     def test_constant_design_collapses_to_mean_case(self):
@@ -468,7 +471,7 @@ class TestSandwichCi:
         group sums are its summands and each prefix sum adds one row at a time."""
         raw = generate_sample(DgpConfig(n=2000, mu=2.0, seed=_cell_seed(11, 0, 0)))
         ss = sort_sample(raw)
-        assert ss.first.shape[0] == raw.n
+        assert ss.bounds.size == raw.n + 1
         kw = km_weights(ss)
         inf = sandwich_ci(ss, kw, stute_fit(ss, kw))
         got = {name: [float(v).hex() for v in np.ravel(getattr(inf, name))]
@@ -528,7 +531,7 @@ class TestSandwichCi:
 
         y, delta, x = (np.stack([getattr(s, k) for s in samples]) for k in ("y", "delta", "x"))
         ss, block = sandwiches(_adopt(SurvivalSample, y=y, delta=delta, x=x))
-        groups = np.bincount(ss.first // 400)
+        groups = np.bincount(ss.bounds[:-1] // 400)
         assert groups[0] < groups[1] == 400
         for r, sample in enumerate(samples):
             for together, alone in zip(block, sandwiches(sample)[1]):
@@ -565,7 +568,7 @@ class TestSandwichCi:
                 for dtype in (np.int64, np.int8)
             )
             assert [name for name, _ in wide] == [name for name, _ in narrow]
-            assert len(wide) == 3 + 3 + 4 + 3 * 6 + 3 * 7
+            assert len(wide) == 3 + 2 + 4 + 3 * 6 + 3 * 7
             for (name, a), (_, b) in zip(wide, narrow):
                 if name == "delta":
                     assert (a.dtype, b.dtype) == (np.int64, np.int8) and np.array_equal(a, b)

@@ -89,6 +89,21 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             run_study([3.0], reps=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_a_seed_outside_64_bits_by_name_before_any_draw(self, seed, monkeypatch):
+        """Masked to 64 bits, seed 2**64 would run study seed 0 and seed -1 study
+        seed 2**64 - 1; the study refuses both before it draws."""
+        draws = []
+        monkeypatch.setattr(simulation, "_draw", lambda *a: draws.append(a))
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            run_study([3.0], reps=2, base_cfg=DgpConfig(n=60, seed=seed))
+        assert draws == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_the_extreme_seeds_in_range_run(self, seed):
+        report = run_study([3.0], reps=2, base_cfg=DgpConfig(n=60, seed=seed))
+        assert all(r.reps_used == 2 for r in report.rows)
+
     @pytest.mark.parametrize("field", ["mu", "outlier_cutoff"])
     def test_rejects_a_nan_mu_or_cutoff_by_name_before_any_draw(self, field, monkeypatch):
         """A NaN would draw silently clean data (cutoff) or fail on the drawn entries
