@@ -8,7 +8,8 @@ all-ones column if you want one.
 A block of R samples of equal size holds the same fields with a leading
 replication axis (y and delta (R, n), x (R, n, p)).  The study engine builds
 blocks; every formula below is written over that axis, so one sample and a
-block run the same code.
+block run the same code.  Records that hold arrays (samples, weighted designs, fits
+and intervals) hash and compare by identity, as a field-wise ``==`` over arrays cannot.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _memo(obj, key: tuple, make):
     return obj.__dict__[key]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalSample:
     """Right-censored regression sample.
 
@@ -130,7 +131,7 @@ def _check_entries(y: np.ndarray, delta: np.ndarray, x: np.ndarray) -> None:
         raise ValueError("delta entries must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SortedSample:
     """A sample reordered by nondecreasing y, with the sorting permutation and
     the tie groups; made by ``sort_sample``.

@@ -39,7 +39,7 @@ _GATHER_CHUNKS = 8
 _NO_SHIFTS = (_NO_ROWS, _freeze(np.empty(0)))  # every row's shift zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InferenceResult:
     """Sandwich covariance and per-coefficient normal confidence intervals."""
 

@@ -11,10 +11,10 @@ derives its own 64-bit seed by XOR-ing the study seed, in [0, 2**64), with a
 BLAKE2b hash of the cell coordinates, so each cell's sample depends only on the
 study seed and the cell's place in the grid.
 
-The study evaluates each mu's replications in blocks of R samples held as
-(R, n) arrays.  The public ``stute_fit``, ``fit_penalized``, ``fit_two_step``
-and ``sandwich_ci`` take a block as well as a sample; a replication's numbers
-do not depend on the block it shares.  Where fitting a sample alone raises, a
+The study runs one grid row (one mu) at a time, and a row's replications in
+blocks of R samples held as (R, n) arrays.  The public ``stute_fit``,
+``fit_penalized``, ``fit_two_step`` and ``sandwich_ci`` take a block as well as
+a sample; a replication's numbers do not depend on the block it shares.  Where fitting a sample alone raises, a
 block makes that replication's results NaN instead, and a replication counts
 for an estimator exactly when its covariance is finite.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import operator
 import time
 from dataclasses import astuple, dataclass, fields, replace
 
@@ -153,34 +154,56 @@ def _cell_seed(base_seed: int, mu_index: int, rep_index: int) -> int:
     return base_seed ^ int.from_bytes(digest, "little")
 
 
-def _run_block(sample: SurvivalSample, true_slope: float) -> dict:
-    """One block of replications, sorted and weighted once and fitted by
-    ``stute_fit``, ``fit_penalized``, ``fit_two_step`` and ``sandwich_ci``.
+def _run_row(seed: int, i: int, cfg: DgpConfig, reps: int) -> tuple[tuple[ReportRow, ...], int]:
+    """Grid row ``i`` of study seed ``seed`` at ``cfg``: its three ``ReportRow``s, in
+    ``ESTIMATORS`` order, and its count of (replication, estimator) pairs dropped.
 
-    Returns the per-replication ``pi_uc`` and, per estimator, a triple of
-    (R,) arrays: the slope estimates, whether the 95% sandwich CI covers
-    ``true_slope``, and whether the replication counts: whether its covariance
-    is finite.  A singular Gram has a NaN inverse, so where fitting a
-    replication alone would raise, its covariance is NaN.
+    Replication j is cell (i, j), drawn from ``_cell_seed(seed, i, j)``, so a row
+    depends only on the study seed and its place in the grid.  Its replications run
+    in blocks of ``BLOCK_ELEMS // n`` (at least one), each sorted and weighted once
+    and fitted by ``stute_fit``, ``fit_penalized``, ``fit_two_step`` and
+    ``sandwich_ci``.  A replication counts for an estimator exactly when its
+    covariance is finite; an estimator left with none gets NaN moments.
     """
-    ss = sort_sample(sample)
-    kw = km_weights(ss)
-    pen = fit_penalized(ss, kw)
-    results = {"pi_uc": kw.pi_uc_hat}
-    for name, fit in zip(ESTIMATORS, (stute_fit(ss, kw), pen, fit_two_step(ss, kw, pen))):
-        inf = sandwich_ci(ss, kw, fit)
-        covered = (inf.ci_lower[:, SLOPE] <= true_slope) & (true_slope <= inf.ci_upper[:, SLOPE])
-        results[name] = (fit.beta[:, SLOPE], covered, _finite(inf))
-    return results
+    true_slope = BETA[SLOPE]
+    size = max(1, BLOCK_ELEMS // cfg.n)
+    pi_uc, slope = np.empty(reps), np.empty((len(ESTIMATORS), reps))
+    covered, finite = np.empty((2, len(ESTIMATORS), reps), dtype=bool)
+    for lo in range(0, reps, size):
+        cut = slice(lo, min(lo + size, reps))
+        ss = sort_sample(_draw(cfg, [_cell_seed(seed, i, j) for j in range(cut.start, cut.stop)]))
+        kw = km_weights(ss)
+        pen = fit_penalized(ss, kw)
+        pi_uc[cut] = kw.pi_uc_hat
+        for k, fit in enumerate((stute_fit(ss, kw), pen, fit_two_step(ss, kw, pen))):
+            inf = sandwich_ci(ss, kw, fit)
+            slope[k, cut] = fit.beta[:, SLOPE]
+            covered[k, cut] = (inf.ci_lower[:, SLOPE] <= true_slope) & (true_slope <= inf.ci_upper[:, SLOPE])
+            finite[k, cut] = _finite(inf)
+    pi_uc_hat = float(np.mean(pi_uc))
+    rows = []
+    for name, est, cover, ok in zip(ESTIMATORS, slope, covered, finite):
+        moments = [np.nan] * 4
+        if ok.any():
+            errors = est[ok] - true_slope
+            moments = [errors.mean(), est[ok].var(), np.mean(errors**2), cover[ok].mean()]
+        rows.append(ReportRow(name, cfg.mu, pi_uc_hat, *map(float, moments), int(ok.sum())))
+    return tuple(rows), int(finite.size - finite.sum())
 
 
-def _check_study(reps: int, base_cfg: DgpConfig) -> None:
-    """Reject a study that cannot run, before any work: ``run_study``'s argument checks."""
+def _check_study(reps: int, base_cfg: DgpConfig) -> int:
+    """Reject a study that cannot run, before any work: ``run_study``'s argument checks.
+    Returns the study seed as a Python int."""
     if reps < 2:
         raise ValueError("reps must be at least 2")
-    if not 0 <= base_cfg.seed < 2**64:  # each cell's seed is the study seed XOR a 64-bit hash
-        raise ValueError(f"seed must lie in [0, 2**64), got {base_cfg.seed}")
+    try:
+        seed = operator.index(base_cfg.seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {base_cfg.seed!r}") from None
+    if not 0 <= seed < 2**64:  # each cell's seed is the study seed XOR a 64-bit hash
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     _check_size(base_cfg.n, len(BETA))
+    return seed
 
 
 def run_study(
@@ -188,57 +211,22 @@ def run_study(
     reps: int,
     base_cfg: DgpConfig = DgpConfig(),
 ) -> MonteCarloReport:
-    """Run the replication study over a censoring-intensity grid.
+    """Run the replication study over a censoring-intensity grid: one ``_run_row``
+    per grid mu.  A row's cells are seeded only from the study seed and the row's
+    place in the grid, so the rows are independent of one another.
 
-    Each mu's replications run in blocks of ``BLOCK_ELEMS // n`` (at least
-    one), each with the penalized fit at the rule's level (10 cycles), the
-    two-step refit at the fixed threshold ``DEFAULT_TAU0`` and 95% sandwich
-    CIs for the slope.  A replication whose covariance is not finite (a
-    singular Gram matrix gives a NaN one) is excluded from that estimator's
-    row and counted in the report's ``failures``; the study does not warn
-    about it.
+    Every replication gets the penalized fit at the rule's level (10 cycles), the
+    two-step refit at the fixed threshold ``DEFAULT_TAU0`` and 95% sandwich CIs for
+    the slope.  A replication whose covariance is not finite (a singular Gram
+    matrix gives a NaN one) is excluded from that estimator's row and counted in
+    the report's ``failures``; the study does not warn about it.
     """
-    _check_study(reps, base_cfg)
+    seed = _check_study(reps, base_cfg)
     cfgs = [replace(base_cfg, mu=float(m)) for m in grid]  # each grid mu checked before any work
-    true_coef = BETA[SLOPE]
-    size = max(1, BLOCK_ELEMS // base_cfg.n)
-
     start = time.perf_counter()
-    rows = []
-    failures = 0
-    for i, cfg in enumerate(cfgs):
-        blocks = [
-            _run_block(
-                _draw(cfg, [_cell_seed(base_cfg.seed, i, j) for j in range(lo, min(lo + size, reps))]),
-                true_coef,
-            )
-            for lo in range(0, reps, size)
-        ]
-        pi_uc = float(np.mean(np.concatenate([b["pi_uc"] for b in blocks])))
-        for name in ESTIMATORS:
-            est, cover, ok = (np.concatenate(parts) for parts in zip(*(b[name] for b in blocks)))
-            failures += int(ok.size - ok.sum())
-            if not ok.any():
-                rows.append(
-                    ReportRow(name, cfg.mu, pi_uc, np.nan, np.nan, np.nan, np.nan, 0)
-                )
-                continue
-            est, cover = est[ok], cover[ok].astype(float)
-            errors = est - true_coef
-            rows.append(
-                ReportRow(
-                    estimator=name,
-                    mu=cfg.mu,
-                    pi_uc_hat=pi_uc,
-                    bias=float(errors.mean()),
-                    variance=float(est.var()),
-                    mse=float(np.mean(errors**2)),
-                    coverage=float(cover.mean()),
-                    reps_used=int(ok.sum()),
-                )
-            )
+    results = [_run_row(seed, i, cfg, reps) for i, cfg in enumerate(cfgs)]
     return MonteCarloReport(
-        rows=tuple(rows),
-        failures=failures,
+        rows=tuple(row for rows, _ in results for row in rows),
+        failures=sum(failed for _, failed in results),
         runtime_seconds=time.perf_counter() - start,
     )

@@ -34,7 +34,7 @@ class SingularGramError(Exception):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDesign:
     """Kaplan-Meier weights of a sorted sample and its design scaled by their square roots.
 
@@ -110,7 +110,7 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fit:
     """Coefficients and per-row mean shifts of one estimator, in sorted order.
 

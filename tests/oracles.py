@@ -193,3 +193,27 @@ def random_instance(rng, n=None, p=None, censored=True, outliers=True):
     else:
         y, delta = t, np.ones(n, dtype=int)
     return SurvivalSample(y=y, delta=delta, x=x)
+
+
+def kkt_violation(kw, fit):
+    """Largest KKT violation of the penalized pair (``fit.beta``, ``fit.alpha_w``) on the
+    weighted design ``kw``, as a share of lambda/2; for a block, the largest over its
+    replications.
+
+    With r = yw - xw @ beta, row by row: |r| <= lambda/2 where alpha_w = 0, and
+    r - alpha_w = sign(alpha_w) * lambda/2 elsewhere.
+    """
+    yw = np.reshape(kw.yw, (-1, kw.yw.shape[-1]))
+    xw = np.reshape(kw.xw, (-1,) + kw.xw.shape[-2:])
+    beta = np.reshape(fit.beta, (len(yw), -1))
+    alpha_w = np.reshape(fit.alpha_w, yw.shape)
+    lams = np.broadcast_to(fit.lam, len(yw))
+    worst = 0.0
+    for rep in range(len(yw)):
+        half = lams[rep] / 2.0
+        for i in range(yw.shape[1]):
+            r = yw[rep, i] - float(np.dot(xw[rep, i], beta[rep]))
+            a = alpha_w[rep, i]
+            gap = abs(r) - half if a == 0.0 else abs(r - a - np.sign(a) * half)
+            worst = max(worst, float(gap / half))
+    return worst

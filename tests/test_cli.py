@@ -336,6 +336,20 @@ def test_bad_input_exits_one(capsys, tmp_path, uncensored_csv, argv, message):
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.xfail(raises=AssertionError, reason=(
+    "with y near 1e200 every uncensored row is shifted and flagged, so the penalized bread "
+    "and the screened refit keep no row with weight and exit 2, while Stute's fit exits 1 "
+    "because psi overflows (ROADMAP item 2: one threshold on the residual scale)"))
+def test_an_overflowing_sample_exits_as_the_stute_fit_does_for_every_method(capsys, tmp_path):
+    """The CI's 12-row CSV with every y times 1e200."""
+    head, *rows = TIED_CSV.splitlines()
+    scaled = [f"{float(y) * 1e200!r},{rest}" for y, rest in (row.split(",", 1) for row in rows)]
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join([head, *scaled]) + "\n")
+    codes = {m: run_cli(capsys, ["fit", str(path), "--method", m])[0] for m in ("stute", "penalized", "two-step")}
+    assert codes["penalized"] == codes["two-step"] == codes["stute"], codes
+
+
 @pytest.mark.parametrize("flag, value", [("--lambda0", "1e-4"), ("--tau0", "0.3"), ("--max-iter", "10")])
 def test_removed_fit_option_exits_two(capsys, uncensored_csv, flag, value):
     """The penalty constant, the screening threshold and the cycle count are

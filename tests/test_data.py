@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustaft import DgpConfig, SurvivalSample, generate_sample, load_csv, sort_sample
+from robustaft import (
+    DgpConfig, SurvivalSample, generate_sample, km_weights, load_csv, sandwich_ci, sort_sample, stute_fit,
+)
 import robustaft.data as data
 from robustaft.data import write_csv
 
@@ -67,6 +69,23 @@ class TestValidation:
             with pytest.raises(ValueError):
                 a[0] = 9
         assert base.delta.dtype == np.int8 and base.x.shape == (3, 2)
+
+
+def test_records_that_hold_arrays_hash_and_compare_by_identity():
+    """A field-wise ``==`` over ndarrays would raise numpy's ambiguous-truth error,
+    and a field-wise hash would raise on the unhashable arrays."""
+
+    def records():
+        ss = sort_sample(generate_sample(DgpConfig(n=40, mu=3.0, seed=2)))
+        kw = km_weights(ss)
+        fit = stute_fit(ss, kw)
+        return ss.base, ss, kw, fit, sandwich_ci(ss, kw, fit)
+
+    for record, twin in zip(records(), records()):
+        arrays = [(getattr(record, f.name), getattr(twin, f.name)) for f in dataclasses.fields(record)]
+        assert all(np.array_equal(a, b) for a, b in arrays if isinstance(a, np.ndarray))
+        assert hash(record) == hash(record) and record == record
+        assert not record == twin and record != twin, type(record).__name__
 
 
 class TestSort:

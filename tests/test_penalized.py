@@ -18,7 +18,7 @@ import robustaft.penalized as penalized
 from robustaft.penalized import soft_threshold_step
 from robustaft.simulation import _cell_seed, _draw
 from robustaft.wls import build_weighted_design, wls_solve
-from oracles import l1_shift_objective_min, random_instance
+from oracles import kkt_violation, l1_shift_objective_min, random_instance
 
 
 def prepare(sample):
@@ -225,3 +225,20 @@ def test_gross_outliers_are_flagged_with_high_probability():
         hits += int(np.count_nonzero(fit.alpha_w[shifted]))
     assert total > 0
     assert hits / total >= 0.95
+
+
+@pytest.mark.xfail(raises=AssertionError, reason=(
+    "the 10 alternating cycles stop short of the optimum: the pair misses KKT by 1.6e-4 "
+    "of lambda/2 on the n = 2000 sample and by 0.031 on the desk block (ROADMAP item 1: "
+    "solve the penalized fit exactly)"))
+def test_the_penalized_pair_meets_its_optimality_conditions():
+    """The KKT conditions, checked row by row by the oracle, on the first block of
+    the desk study's mu = 5 row at study seed 1 (12 replications of 500 rows) and
+    on one sample of 2000 rows at mu = 3 (seed 4)."""
+    block = _draw(DgpConfig(n=500, mu=5.0), [_cell_seed(1, 3, j) for j in range(12)])
+    sample = generate_sample(DgpConfig(n=2000, mu=3.0, seed=4))
+    violations = []
+    for drawn in (block, sample):
+        ss, kw = prepare(drawn)
+        violations.append(kkt_violation(kw, fit_penalized(ss, kw)))
+    assert max(violations) <= 1e-10, f"KKT violations {violations} of lambda/2"

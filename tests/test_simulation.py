@@ -104,6 +104,24 @@ class TestRunStudy:
         report = run_study([3.0], reps=2, base_cfg=DgpConfig(n=60, seed=seed))
         assert all(r.reps_used == 2 for r in report.rows)
 
+    def test_rejects_a_float_seed_by_name_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(simulation, "_draw", lambda *a: draws.append(a))
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 5\.0$"):
+            run_study([3.0], reps=2, base_cfg=DgpConfig(n=60, seed=5.0))
+        assert draws == []
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)])
+    def test_a_numpy_integer_seed_runs_the_study_of_its_value(self, seed):
+        """Each cell's seed is the study seed XOR a 64-bit hash, which an int64 seed
+        cannot hold for half the cells; the study takes the seed's Python int."""
+        reports = []
+        for s in (5, seed):
+            buf = io.StringIO()
+            run_study([3.0], reps=8, base_cfg=DgpConfig(n=60, seed=s)).to_csv(buf)
+            reports.append(buf.getvalue())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("field", ["mu", "outlier_cutoff"])
     def test_rejects_a_nan_mu_or_cutoff_by_name_before_any_draw(self, field, monkeypatch):
         """A NaN would draw silently clean data (cutoff) or fail on the drawn entries
@@ -177,10 +195,10 @@ class TestDeskStudy:
 
 
 def test_one_block_shares_gram_factors_and_the_censoring_km(monkeypatch):
-    """A block of 12 replications at n = 500 makes one batched eigendecomposition
-    per Gram kind: the full Gram (which serves the Stute fit, the 11 penalized
-    solves and the Stute bread), the penalized bread, and the screened refit
-    (which is also its bread); its three sandwiches fit the censoring KM once."""
+    """A row of 12 replications at n = 500 is one block, which makes one batched
+    eigendecomposition per Gram kind: the full Gram (which serves the Stute fit, the
+    11 penalized solves and the Stute bread), the penalized bread, and the screened
+    refit (which is also its bread); its three sandwiches fit the censoring KM once."""
     counts = Counter()
 
     def count(module, name):
@@ -194,14 +212,11 @@ def test_one_block_shares_gram_factors_and_the_censoring_km(monkeypatch):
 
     count(np.linalg, "eigh")
     count(inference_mod, "censoring_km")
-    size = simulation.BLOCK_ELEMS // 500
-    assert size == 12
-    block = simulation._draw(
-        DgpConfig(n=500, mu=2.0), [_cell_seed(1, 0, j) for j in range(size)]
-    )
-    counts.clear()
-    results = simulation._run_block(block, 1.0)
-    assert all(results[name][2].all() for name in ESTIMATORS)
+    count(simulation, "_draw")
+    assert simulation.BLOCK_ELEMS // 500 == 12
+    rows, failures = simulation._run_row(1, 0, DgpConfig(n=500, mu=2.0), 12)
+    assert failures == 0 and all(r.reps_used == 12 for r in rows)
+    assert counts["_draw"] == 1
     assert counts["eigh"] == 3
     assert counts["censoring_km"] == 1
 
@@ -297,7 +312,34 @@ def _fit_alone(y, delta, x, true_slope):
     return results
 
 
-def test_a_block_matches_its_samples_fitted_one_at_a_time():
+def _block(reps):
+    y, delta, x = (np.stack([rep[k] for rep in reps]) for k in range(3))
+    return _adopt(SurvivalSample, y=y, delta=delta, x=x)
+
+
+def _rows_of(alone, mu):
+    """The three report rows of replications fitted one at a time, by the report's formulas."""
+    pi_uc_hat = float(np.mean([a["pi_uc"] for a in alone]))
+    rows = []
+    for name in ESTIMATORS:
+        kept = [a[name] for a in alone if a[name] is not None]
+        moments = [np.nan] * 4
+        if kept:
+            est = np.array([slope for slope, _ in kept])
+            errors = est - 1.0
+            cover = np.array([covered for _, covered in kept])
+            moments = [errors.mean(), est.var(), np.mean(errors**2), cover.mean()]
+        rows.append(simulation.ReportRow(name, mu, pi_uc_hat, *map(float, moments), len(kept)))
+    return tuple(rows), sum(a[name] is None for a in alone for name in ESTIMATORS)
+
+
+def _draw_replications(monkeypatch, reps):
+    """Make ``simulation._draw`` return row 0's crafted replications, picked by cell seed."""
+    by_seed = {_cell_seed(1, 0, j): rep for j, rep in enumerate(reps)}
+    monkeypatch.setattr(simulation, "_draw", lambda cfg, seeds: _block([by_seed[s] for s in seeds]))
+
+
+def test_a_block_matches_its_samples_fitted_one_at_a_time(monkeypatch):
     reps = _replications()
     alone = [_fit_alone(*rep, 1.0) for rep in reps]
 
@@ -310,24 +352,33 @@ def test_a_block_matches_its_samples_fitted_one_at_a_time():
         [False, False, False],  # non-finite covariance (and all 40 rows flagged)
         [True, True, True],
     ]
-    for cuts in ([0, 6], [0, 4, 6], [0, 1, 2, 3, 4, 5, 6]):  # one block; ragged; blocks of one
+    _draw_replications(monkeypatch, reps)
+    want = _rows_of(alone, 3.0)
+    for size, cuts in ((6, [0, 6]), (4, [0, 4, 6]), (1, [0, 1, 2, 3, 4, 5, 6])):  # one block; ragged; of one
+        # the public block pipeline matches each replication fitted alone
         for lo, hi in zip(cuts, cuts[1:]):
-            y, delta, x = (np.stack([rep[k] for rep in reps[lo:hi]]) for k in range(3))
-            block = _adopt(SurvivalSample, y=y, delta=delta, x=x)
-            got = simulation._run_block(block, 1.0)
+            ss = sort_sample(_block(reps[lo:hi]))
+            kw = km_weights(ss)
+            pen = fit_penalized(ss, kw)
+            fits = dict(zip(ESTIMATORS, (stute_fit(ss, kw), pen, fit_two_step(ss, kw, pen))))
+            infs = {name: sandwich_ci(ss, kw, fit) for name, fit in fits.items()}
             for r in range(hi - lo):
-                want = alone[lo + r]
-                assert got["pi_uc"][r] == want["pi_uc"]
+                assert kw.pi_uc_hat[r] == alone[lo + r]["pi_uc"]
                 for name in ESTIMATORS:
-                    slope, covered, ok = (a[r] for a in got[name])
-                    assert ok == (want[name] is not None), (lo + r, name)
+                    inf = infs[name]
+                    ok = bool(inference_mod._finite(inf)[r])
+                    assert ok == (alone[lo + r][name] is not None), (lo + r, name)
                     if ok:
-                        assert (slope, covered) == want[name], (lo + r, name)
+                        covered = bool(inf.ci_lower[r, 1] <= 1.0 <= inf.ci_upper[r, 1])
+                        assert (fits[name].beta[r, 1], covered) == alone[lo + r][name], (lo + r, name)
+        # and the row, run in blocks of that size, reports what the lone fits give
+        monkeypatch.setattr(simulation, "BLOCK_ELEMS", size * N_ROWS)
+        assert simulation._run_row(1, 0, DgpConfig(n=N_ROWS, mu=3.0), len(reps)) == want, size
 
 
 def test_a_block_is_sorted_weighted_and_fitted_once(monkeypatch):
-    """The block of ``_replications`` holds a singular full Gram, yet it is sorted
-    and weighted once, makes one eigendecomposition per Gram kind and runs the
+    """The block of ``_replications`` holds a singular full Gram, yet a row of it is
+    sorted and weighted once, makes one eigendecomposition per Gram kind and runs the
     public fits and sandwiches, so the tracer sees them."""
     counts = Counter()
 
@@ -344,26 +395,30 @@ def test_a_block_is_sorted_weighted_and_fitted_once(monkeypatch):
     for name in ("sort_sample", "km_weights", "stute_fit", "fit_penalized", "fit_two_step", "sandwich_ci"):
         count(simulation, name)
     reps = _replications()
-    y, delta, x = (np.stack([rep[k] for rep in reps]) for k in range(3))
-    block = _adopt(SurvivalSample, y=y, delta=delta, x=x)
-    results = simulation._run_block(block, 1.0)
-    assert not results["stute"][2][1]  # the singular full Gram counts for no estimator
+    _draw_replications(monkeypatch, reps)
+    monkeypatch.setattr(simulation, "BLOCK_ELEMS", len(reps) * N_ROWS)
+    rows, failures = simulation._run_row(1, 0, DgpConfig(n=N_ROWS, mu=3.0), len(reps))
+    # the singular full Gram (replication 1) counts for no estimator
+    assert [r.reps_used for r in rows] == [4, 2, 3] and failures == 9
     assert counts == {
         "sort_sample": 1, "km_weights": 1, "eigh": 3, "stute_fit": 1, "fit_penalized": 1,
         "fit_two_step": 1, "sandwich_ci": 3,
     }
 
 
-def test_an_all_singular_block_is_all_nan_and_warns_nothing():
+def test_an_all_singular_block_is_all_nan_and_warns_nothing(monkeypatch):
     x = np.stack([np.ones((2, 30)), np.full((2, 30), 0.5)], axis=-1)  # a constant covariate
     y = 1.0 + np.random.default_rng(5).normal(size=(2, 30))
     block = _adopt(SurvivalSample, y=y, delta=np.ones((2, 30), dtype=np.int64), x=x)
+    monkeypatch.setattr(simulation, "_draw", lambda cfg, seeds: block)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = simulation._run_block(block, 1.0)
-    for name in ESTIMATORS:
-        slope, covered, ok = results[name]
-        assert np.isnan(slope).all() and not covered.any() and not ok.any()
+        rows, failures = simulation._run_row(1, 0, DgpConfig(n=30, mu=3.0), 2)
+    assert failures == 6
+    assert [r.estimator for r in rows] == list(ESTIMATORS)
+    for r in rows:
+        assert r.reps_used == 0
+        assert all(np.isnan(v) for v in (r.bias, r.variance, r.mse, r.coverage))
 
 
 @pytest.mark.xfail(
