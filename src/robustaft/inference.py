@@ -18,9 +18,11 @@ distribution G and two compensation sums:
                   / ((1 - H(Y_(j)))^2 (1 - G(Y_(i)-))),
 
 with H the empirical distribution of Y and xi the residuals of the fit under
-scrutiny.  With no censoring every correction vanishes and psi reduces to the
-classical least-squares influence terms.  Every denominator that divides a
-nonzero sum is at least 1/n, and 1 - H is +inf on a top tie group (no row above).
+scrutiny.  ``km.km_weights`` builds w_(i) = delta_(i) / (n (1 - G(Y_(i)-))) from
+``censoring_km``, so the shared summand is n w_(i) X_(i)k xi_(i), read off the
+weighted design.  With no censoring every correction vanishes and psi reduces to
+the classical least-squares influence terms.  Every 1 - H that divides a nonzero
+sum is at least 1/n, and 1 - H is +inf on a top tie group (no row above).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import SortedSample, _adopt, _freeze, _memo
-from .km import _product_limit
 from .wls import _NO_ROWS, Fit, WeightedDesign, _checked_inverse, build_weighted_design
 
 # Runs of whole tie groups a tied sample's slot values are gathered to rows in, one at a time.
@@ -61,85 +62,87 @@ def censoring_km(sorted_sample: SortedSample) -> np.ndarray:
     convention: failures precede censorings at equal times, so censoring
     events see the risk set already reduced by the failures at that time.
     """
-    survival = _product_limit(sorted_sample.base.delta == 0).ravel()
-    return _freeze(1.0 - survival[sorted_sample.bounds[1:] - 1])
+    delta, n = sorted_sample.base.delta, sorted_sample.base.n
+    idx = np.arange(n, dtype=float)
+    # the product limit prod_{j<=i} ((n - 1 - j) / (n - j)) ** (1 - delta_(j)), 0-based
+    survival = np.cumprod(np.where(delta == 0, (n - 1 - idx) / (n - idx), 1.0), axis=-1).ravel()
+    if sorted_sample.bounds.size <= survival.size:  # ties: each group's last row
+        survival = survival[sorted_sample.bounds[1:] - 1]
+    return _freeze(np.subtract(1.0, survival, out=survival))
 
 
 def _tail_terms(sorted_sample: SortedSample) -> tuple:
     """Sample-only part of psi, with one table slot per tie group in row order and
     ``width`` (the most groups of any replication) slots per replication: each group's
     slot (``...`` when each group is one row, so each slot is its row and no index is
-    kept); each row's 1 - G(Y-), +inf on censored rows so that dividing by it also
-    multiplies by delta; per slot 1 - H and (1 - H)^2 over the censored count, +inf on
-    a top group, past a replication's last group and (the second) on a group with no
-    censored row; per row whether it is censored."""
+    kept); per slot 1 - H and (1 - H)^2 over the censored count, +inf on a top group,
+    past a replication's last group and (the second) on a group with no censored row;
+    per row whether it is censored."""
     delta, n = sorted_sample.base.delta, sorted_sample.base.n
     bounds = sorted_sample.bounds
     first, stop = bounds[:-1], bounds[1:]
-    rep, size = first // n, stop - first  # each group's replication and row count
+    rep = first // n  # each group's replication
     censored = delta == 0
-    # G(Y-) of a row is G at the tie group below its own, and 0 in its replication's lowest group
-    below = np.concatenate(([0.0], censoring_km(sorted_sample)[:-1]))
-    surv_g = 1.0 - np.where(first == rep * n, 0.0, below)
     slot, width, count = ..., n, censored.ravel()  # count: censored rows per group
-    if bounds.size <= delta.size:  # ties: group-level values repeat over their rows
+    if bounds.size <= delta.size:  # ties: one slot per group
         local = np.arange(first.size) - np.searchsorted(first, np.arange(0, delta.size, n))[rep]
         width = local.max() + 1
         slot = rep * width + local
-        surv_g, count = np.repeat(surv_g, size), np.add.reduceat(count, first, dtype=float)
-    denom_g = np.where(censored, np.inf, surv_g.reshape(delta.shape))
+        count = np.add.reduceat(count, first, dtype=float)
     surv_h = (n - (stop - rep * n)) / n  # 1 - H(Y) on each group
     surv_h[surv_h == 0.0] = np.inf  # the top group, whose suffix sum is +0.0
     tables = np.full((2, delta.size // n * width), np.inf)
     with np.errstate(divide="ignore"):  # +inf on a group with no censored row
         tables[0, slot], tables[1, slot] = surv_h, surv_h**2 / count
     denom_h, denom_h2 = tables.reshape((2,) + delta.shape[:-1] + (width,))
-    return slot, denom_g, denom_h, denom_h2, censored
+    return slot, denom_h, denom_h2, censored
 
 
 def compute_psi(
     sorted_sample: SortedSample,
+    kw: WeightedDesign,
     beta: np.ndarray,
-    alpha: tuple[np.ndarray, np.ndarray] = _NO_SHIFTS,
+    alpha_w: tuple[np.ndarray, np.ndarray] = _NO_SHIFTS,
 ) -> np.ndarray:
     """Influence vectors psi as an (n, p) matrix in sorted order; (R, n, p) for a block.
 
-    ``alpha`` holds the per-observation shifts entering the residuals
-    xi_(i) = Y_(i) - X_(i)' beta - alpha_(i) as a pair (rows, shifts): ascending flat
-    row offsets (into a block's flattened (R * n) rows) and their shifts, every other
+    The shared summand delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-)) is n xw_(i)k r_(i), from
+    the weighted design ``kw`` and the weighted residual r = yw - xw beta - alpha_w.
+    ``alpha_w`` holds the fit's sqrt(w)-scaled shifts as a pair (rows, shifts): ascending
+    flat row offsets (into a block's flattened (R * n) rows) and their shifts, every other
     row's shift zero (by default, every row's).  A replication whose ``beta`` is not
     finite (a failed fit) gets NaN influence vectors.
 
     The result is a view of a contiguous (p, n) array, or (p, R, n) for a block.
 
-    Per sample, computed by the first call and kept on the sorted sample: the censoring
-    KM fit, the 1 - G and 1 - H denominators, (1 - H)^2 over each tie group's censored
-    count and, if tied, each group's slot.  Per fit, on every call: the summands c,
-    gamma1's suffix and gamma2's prefix sums over the tie groups and, if tied, c's sum
-    over each group of ``sorted_sample.bounds`` and the gathers of the slot values to
-    rows by ``np.repeat``, ``_GATHER_CHUNKS`` runs of groups at a time.
+    Per sample, computed by the first call and kept on the sorted sample: the 1 - H
+    denominators, (1 - H)^2 over each tie group's censored count and, if tied, each
+    group's slot.  Per fit, on every call: the summands, gamma1's suffix and gamma2's
+    prefix sums over the tie groups and, if tied, the summands' sum over each group of
+    ``sorted_sample.bounds`` and the gathers of the slot values to rows by ``np.repeat``,
+    ``_GATHER_CHUNKS`` runs of groups at a time.
     """
     base, bounds = sorted_sample.base, sorted_sample.bounds
-    y, x = base.y, base.x
+    xw, yw = kw.xw, kw.yw
     n, p = base.n, base.p
-    tied = bounds.size <= y.size
+    tied = bounds.size <= yw.size
     tails = _memo(sorted_sample, ("psi",), lambda: _tail_terms(sorted_sample))
-    slot, denom_g, denom_h, denom_h2, censored = tails
+    slot, denom_h, denom_h2, censored = tails
 
     # everything below is (p, rows) or (p, slots), with a block's replication axis
     # after p, so each pass runs along the long axis
-    # shared summand: delta_(i) X_(i)k xi_(i) / (1 - G(Y_(i)-)), built in place with
-    # the residual xi in c's last row, which is multiplied by its column last
-    c = np.empty((p,) + y.shape)
-    xi = c[-1]
-    np.matmul(x, beta[..., None], out=xi[..., None])
-    np.subtract(y, xi, out=xi)
-    rows, shifts = alpha  # x - 0.0 == x, so only the shifted rows change
-    xi.reshape(-1)[rows] -= shifts  # a float row raises here; ``.flat`` would read it as a row
-    xi /= denom_g
+    # shared summand: n xw_(i)k r_(i), built in place with n times the weighted
+    # residual r in c's last row, which is multiplied by its column last
+    c = np.empty((p,) + yw.shape)
+    rw = c[-1]
+    np.matmul(xw, beta[..., None], out=rw[..., None])
+    np.subtract(yw, rw, out=rw)
+    rows, shifts = alpha_w  # rw - 0.0 == rw, so only the shifted rows change
+    rw.reshape(-1)[rows] -= shifts  # a float row raises here; ``.flat`` would read it as a row
+    rw *= n
     for k in range(p - 1):
-        np.multiply(x[..., k], xi, out=c[k])
-    xi *= x[..., -1]
+        np.multiply(xw[..., k], rw, out=c[k])
+    rw *= xw[..., -1]
 
     # y is sorted, so strict comparisons reduce to tie groups: sum c over each group
     # into its slot, zero past a replication's last group.  Untied, the sums and the
@@ -217,13 +220,12 @@ def sandwich_ci(
     """
     design = build_weighted_design(sorted_sample, kw)
     z = normal_quantile(level)
-    # psi's unscaled shifts (0 at zero weight, NaN for a failed fit) and the bread's dropped rows
+    # psi's shifts (NaN for a failed fit) and the bread's dropped rows
     shifted = np.flatnonzero(fit.alpha_w != 0.0)  # on a bool mask: 10x faster than on alpha_w
-    w = design.w.flat[shifted]
-    alpha = shifted, fit.alpha_w.flat[shifted] / np.where(w > 0, np.sqrt(w), np.inf)
+    psi_t = compute_psi(sorted_sample, design, fit.beta, (shifted, fit.alpha_w.flat[shifted]))
     # one contiguous (p, n) array per replication, so a replication's products
     # are the same whether or not it shares a block
-    psi_t = np.ascontiguousarray(np.swapaxes(compute_psi(sorted_sample, fit.beta, alpha), -1, -2))
+    psi_t = np.ascontiguousarray(np.swapaxes(psi_t, -1, -2))
     n = psi_t.shape[-1]
 
     with np.errstate(over="ignore", invalid="ignore"):

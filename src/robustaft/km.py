@@ -3,16 +3,18 @@
 The weights turn a right-censored least-squares problem into a weighted one:
 w_(i) is the jump of the Kaplan-Meier distribution estimator at the i-th
 order statistic, so censored observations get weight zero and the remaining
-mass is pushed to later uncensored observations.  ``km_weights`` returns the
-weights together with the sample's square-root-weighted design, which every
-estimator then shares; the design (``wls.WeightedDesign``) derives its Gram
-matrices.
+mass is pushed to later uncensored observations.  Those jumps are the
+inverse-probability-of-censoring weights delta_(i) / (n (1 - G(Y_(i)-))), so
+``km_weights`` reads them off ``inference.censoring_km``, the sample's one
+censoring product limit, and returns them with the sample's
+square-root-weighted design, which every estimator and sandwich then shares.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import inference
 from .data import SortedSample, _adopt, _per_sample
 from .wls import WeightedDesign
 
@@ -22,37 +24,30 @@ LAMBDA0 = 1e-4
 
 def km_weights(sorted_sample: SortedSample) -> WeightedDesign:
     """Kaplan-Meier weights of a sorted sample (or of each replication of a block)
-    and its weighted design.
+    and its weighted design (``wls.WeightedDesign``, which derives its Gram matrices).
 
-    In 1-based sorted order,
-
-        w_(1) = delta_(1) / n,
-        w_(i) = delta_(i) / (n - i + 1) * prod_{j<i} ((n - j) / (n - j + 1)) ** delta_(j).
-
-    The running product is carried in ordinary double precision; every factor
-    lies in (0, 1], so the only failure mode is harmless underflow to zero
-    for astronomically large n.
+    With G the censoring distribution's Kaplan-Meier fit, w_(i) = delta_(i) /
+    (n (1 - G(Y_(i)-))), with G(Y_(i)-) G at the tie group below row i's, 0 in a
+    replication's lowest group: failures precede censorings within a group, so this is
+    the rowwise product limit delta_(i) / (n - i + 1) * prod_{j<i} ((n - j) / (n - j + 1))
+    ** delta_(j) (1-based).  Every denominator is at least 1.
     """
-    base = sorted_sample.base
-    delta = base.delta
-    n = delta.shape[-1]
-    running = np.ones(delta.shape)
-    running[..., 1:] = _product_limit(delta == 1)[..., :-1]
-    w = delta / (n - np.arange(n, dtype=float)) * running
+    base, bounds = sorted_sample.base, sorted_sample.bounds
+    delta, n = base.delta, base.n
+    # n (1 - G(Y-)) per tie group; censoring_km is looked up on its module, so a traced one runs
+    surv = np.concatenate(([0.0], inference.censoring_km(sorted_sample)[:-1]))
+    surv[np.searchsorted(bounds, np.arange(0, delta.size, n))] = 0.0
+    surv = n * (1.0 - surv)
+    if bounds.size <= delta.size:  # ties: a group's value repeats over its rows
+        surv = np.repeat(surv, np.diff(bounds))
+    w = delta / surv.reshape(delta.shape)
+    del surv
     sqrt_w = np.sqrt(w)
     xw = np.empty(base.x.shape)
     for k in range(base.p):  # one column at a time: a broadcast over p = 2 is slow
         np.multiply(base.x[..., k], sqrt_w, out=xw[..., k])
     yw = base.y * sqrt_w
     return _adopt(WeightedDesign, w=w, pi_uc_hat=_per_sample(delta.mean(axis=-1)), xw=xw, yw=yw)
-
-
-def _product_limit(event: np.ndarray) -> np.ndarray:
-    """Kaplan-Meier survival just after each sorted row, treating ``event`` as the event:
-    prod_{j<=i} ((n - 1 - j) / (n - j)) ** event_(j) in 0-based order, along the last axis."""
-    n = event.shape[-1]
-    idx = np.arange(n, dtype=float)
-    return np.cumprod(np.where(event, (n - 1 - idx) / (n - idx), 1.0), axis=-1)
 
 
 def lambda_rule(n: int, pi_uc_hat: float) -> float:

@@ -29,8 +29,9 @@ _NO_ROWS = _freeze(np.empty(0, dtype=np.int64))  # drop no row: the Gram of ever
 class SingularGramError(Exception):
     """Gram matrix of the weighted design is numerically singular.
 
-    Signals collinear covariates after weighting, too many rows removed (for
-    the screened refit), or no kept row with positive Kaplan-Meier weight.
+    Signals collinear covariates after weighting, kept rows (of the screened refit
+    or a shifted fit's bread) that do not span the model, or no kept row with
+    positive Kaplan-Meier weight.
     """
 
 
@@ -86,8 +87,9 @@ def _singular(eigs: np.ndarray) -> np.ndarray:
 
 def _checked_inverse(design: WeightedDesign, drop=_NO_ROWS, context: str = "") -> tuple:
     """``design.inverse(drop)``'s Gram and inverse, ``drop`` ascending flat row offsets,
-    raising SingularGramError, naming ``context``, if one sample's Gram is singular.  A
-    block never raises: a singular replication's results are NaN and the study drops it."""
+    raising SingularGramError, naming ``context`` and blaming the kept rows if ``drop``
+    is not empty, if one sample's Gram is singular.  A block never raises: a singular
+    replication's results are NaN and the study drops it."""
     gram, inv, eigs = design.inverse(drop)
     if eigs.ndim == 1 and _singular(eigs):
         low, high = eigs[[0, -1]]
@@ -97,10 +99,11 @@ def _checked_inverse(design: WeightedDesign, drop=_NO_ROWS, context: str = "") -
                 f"weighted Gram matrix is zero{detail}: "
                 "no kept row has positive Kaplan-Meier weight"
             )
+        kept = "the kept rows' weighted covariates do not span the model"
         raise SingularGramError(
             f"weighted Gram matrix is singular{detail}: smallest eigenvalue "
             f"{low:.3e} <= {GRAM_RTOL:g} * largest {high:.3e}; "
-            "covariates are collinear after weighting"
+            + (kept if drop.size else "covariates are collinear after weighting")
         )
     return gram, inv
 

@@ -15,7 +15,9 @@ def km_jump_weights(y, delta):
     """Textbook Kaplan-Meier jumps, one unique time at a time.
 
     ``y`` must be sorted nondecreasing with uncensored-first tie order.
-    Each uncensored observation receives an equal share of its time's jump.
+    Each uncensored observation receives an equal share of its time's jump,
+    S(t-) * deaths / at_risk: taken as S(t-) - S(t), the difference would lose
+    about at_risk / deaths ulps (2e-12 relative at n = 2e4).
     """
     n = len(y)
     w = np.zeros(n)
@@ -28,12 +30,11 @@ def km_jump_weights(y, delta):
             j += 1
         deaths = int(np.sum(delta[i:j]))
         if deaths:
-            new_surv = surv * (1.0 - deaths / at_risk)
-            jump = surv - new_surv
+            jump = surv * deaths / at_risk
             for m in range(i, j):
                 if delta[m] == 1:
                     w[m] = jump / deaths
-            surv = new_surv
+            surv *= 1.0 - deaths / at_risk
         at_risk -= j - i
         i = j
     return w
@@ -150,12 +151,13 @@ def psi_double_loop(y, delta, x, beta, alpha):
     return psi
 
 
-def shift_pair(alpha):
-    """A dense shift array as ``compute_psi`` takes it: its nonzero entries' ascending
-    flat offsets and their values."""
+def shift_pair(alpha, kw):
+    """A dense array of unscaled shifts as ``compute_psi`` takes them: the nonzero
+    entries' ascending flat offsets and their sqrt(w)-scaled values, from the
+    weighted design ``kw``."""
     dense = np.asarray(alpha, dtype=float).ravel()
     rows = np.flatnonzero(dense)
-    return rows, dense[rows]
+    return rows, np.sqrt(kw.w).ravel()[rows] * dense[rows]
 
 
 def joint_screened_beta(xw, yw, flagged):

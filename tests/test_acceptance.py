@@ -130,9 +130,10 @@ def test_criterion_5_influence_vector_oracle():
     for _ in range(20):
         sample = random_instance(rng, n=int(rng.integers(5, 41)))
         ss = sort_sample(sample)
+        kw = km_weights(ss)
         beta = rng.normal(size=sample.p)
         alpha = np.where(rng.random(sample.n) < 0.15, 4.0 * rng.normal(size=sample.n), 0.0)
-        ours = compute_psi(ss, beta, shift_pair(alpha))
+        ours = compute_psi(ss, kw, beta, shift_pair(alpha, kw))
         oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
         worst = max(worst, float(np.max(np.abs(ours - oracle))))
     report(5, worst < 1e-12, f"20 instances, max elementwise gap {worst:.2e}")

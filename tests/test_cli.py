@@ -170,6 +170,21 @@ class TestFit:
         assert rc == 2
         assert "collinear" in err
 
+    def test_a_kept_row_bread_that_does_not_span_exits_two_naming_the_kept_rows(self, capsys, tmp_path):
+        """The n = 2000, mu = 3, seed 4 sample with 1000 times its y: the penalized fit
+        shifts 1720 rows, and the bread over the other 280 has rank 1.  The covariates
+        themselves are not collinear, so the message names the kept rows instead."""
+        raw = generate_sample(DgpConfig(n=2000, mu=3.0, seed=4))
+        path = write_sample(tmp_path, SurvivalSample(y=1e3 * raw.y, delta=raw.delta, x=raw.x))
+        rc, out, err = run_cli(capsys, ["fit", path, "--method", "penalized"])
+        assert (rc, out) == (2, "")
+        assert err.startswith(
+            "error: weighted Gram matrix is singular "
+            "(sandwich bread over the 280 of 2000 rows with zero shift): smallest eigenvalue "
+        )
+        assert err.endswith("; the kept rows' weighted covariates do not span the model\n")
+        assert "collinear" not in err
+
 
 SMALL_CSV = """y,delta,x1,x2
 1.2,1,1,0.1
@@ -185,10 +200,10 @@ SMALL_CSV = """y,delta,x1,x2
 """
 
 # estimate, std_error, ci_lower, ci_upper
-COEF_X1 = ("1.1993980169971676", "0.10369977367670408", "0.9961501953858729",
-           "1.4026458386084624")
-COEF_X2 = ("1.1260623229461786", "0.13682003497857803", "0.8578999820246553",
-           "1.3942246638677018")
+COEF_X1 = ("1.1993980169971676", "0.10369977367670428", "0.9961501953858726",
+           "1.4026458386084628")
+COEF_X2 = ("1.1260623229461786", "0.13682003497857834", "0.8578999820246547",
+           "1.3942246638677025")
 LAMBDA = "0.39819884867155864"
 ALPHA_W = "-2.300681654703104"
 
@@ -203,10 +218,10 @@ GOLDEN = {
         "tau0        0.3",
         "coef  estimate                  std_error                 ci_lower                  "
         "ci_upper                  ",
-        "x1    1.1993980169971676        0.10369977367670408       0.9961501953858729        "
-        "1.4026458386084624        ",
-        "x2    1.1260623229461786        0.13682003497857803       0.8578999820246553        "
-        "1.3942246638677018        ",
+        "x1    1.1993980169971676        0.10369977367670428       0.9961501953858726        "
+        "1.4026458386084628        ",
+        "x2    1.1260623229461786        0.13682003497857834       0.8578999820246547        "
+        "1.3942246638677025        ",
         "outliers (original row, alpha_w):",
         f"  7  {ALPHA_W}",
     ],
@@ -239,31 +254,31 @@ GOLDEN = {
 TIED_CSV = SMALL_CSV + "1.6,0,1,0.35\n1.6,1,1,0.45\n"
 TIED_HEAD = ["n           12", "p           2", "pi_uc_hat   0.75"]
 TIED_LAMBDA = ["lambda      0.3939262763696897", "iterations  10", "tau0        0.3"]
-TIED_OUTLIER = ["outliers (original row, alpha_w):", "  7  -2.0870508551604936"]
+TIED_OUTLIER = ["outliers (original row, alpha_w):", "  7  -2.0870508551604945"]
 COEF_HEADER = GOLDEN["table"][7]
 
 TIED_GOLDEN = {
     "stute": [
         "method      stute", *TIED_HEAD, COEF_HEADER,
-        "x1    1.0795513117796687        0.4200974520495551        0.2561754357654985        "
-        "1.9029271877938387        ",
-        "x2    0.1866891701619277        1.2007916709861703        -2.166819257906636        "
-        "2.540197598230491         ",
+        "x1    1.0795513117796678        0.420097452049554         0.25617543576549984       "
+        "1.9029271877938356        ",
+        "x2    0.18668917016192932       1.2007916709861681        -2.1668192579066297       "
+        "2.5401975982304883        ",
     ],
     "penalized": [
         "method      penalized", *TIED_HEAD, *TIED_LAMBDA, COEF_HEADER,
-        "x1    1.1840352287861697        0.09941128167194101       0.9891926970521987        "
-        "1.3788777605201408        ",
-        "x2    1.0400304859063354        0.1616117538956058        0.7232772687925972        "
-        "1.3567837030200736        ",
+        "x1    1.1840352287861686        0.09941128167194          0.9891926970521995        "
+        "1.3788777605201377        ",
+        "x2    1.040030485906339         0.16161175389560384       0.7232772687926048        "
+        "1.3567837030200731        ",
         *TIED_OUTLIER,
     ],
     "two-step": [
         "method      two-step", *TIED_HEAD, *TIED_LAMBDA, COEF_HEADER,
-        "x1    1.1949558995029481        0.09643359336073681       1.0059495296161232        "
-        "1.383962269389773         ",
-        "x2    1.1292218158761778        0.1368665499076609        0.8609683073689086        "
-        "1.3974753243834468        ",
+        "x1    1.194955899502949         0.09643359336073704       1.0059495296161236        "
+        "1.3839622693897744        ",
+        "x2    1.1292218158761804        0.1368665499076619        0.8609683073689094        "
+        "1.3974753243834515        ",
         *TIED_OUTLIER,
     ],
 }

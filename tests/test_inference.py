@@ -100,9 +100,9 @@ class TestComputePsi:
         rng = np.random.default_rng(42)
         x = np.column_stack([np.ones(20), rng.normal(size=20)])
         y = x @ np.array([1.0, 2.0]) + rng.normal(size=20)
-        ss, _ = prepare(y, np.ones(20, dtype=int), x)
+        ss, kw = prepare(y, np.ones(20, dtype=int), x)
         beta = np.array([0.9, 2.1])
-        psi = compute_psi(ss, beta)
+        psi = compute_psi(ss, kw, beta)
         xi = ss.base.y - ss.base.x @ beta
         assert np.allclose(psi, ss.base.x * xi[:, None], atol=1e-14)
 
@@ -110,10 +110,10 @@ class TestComputePsi:
         y = np.array([0.3, 0.7, 1.1, 1.6, 2.2])
         delta = np.array([1, 1, 0, 1, 1])
         x = np.column_stack([np.ones(5), np.array([0.2, -0.4, 1.3, 0.8, -1.1])])
-        ss, _ = prepare(y, delta, x)
+        ss, kw = prepare(y, delta, x)
         beta = np.array([0.5, 1.5])
         alpha = np.zeros(5)
-        ours = compute_psi(ss, beta, shift_pair(alpha))
+        ours = compute_psi(ss, kw, beta, shift_pair(alpha, kw))
         oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
         assert np.max(np.abs(ours - oracle)) < 1e-12
 
@@ -122,14 +122,16 @@ class TestComputePsi:
         for _ in range(5):
             sample = random_instance(rng, n=int(rng.integers(8, 35)))
             ss = sort_sample(sample)
+            kw = km_weights(ss)
             beta = rng.normal(size=sample.p)
             alpha = np.where(rng.random(sample.n) < 0.15, rng.normal(size=sample.n) * 4.0, 0.0)
-            ours = compute_psi(ss, beta, shift_pair(alpha))
+            ours = compute_psi(ss, kw, beta, shift_pair(alpha, kw))
             oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
             assert np.max(np.abs(ours - oracle)) < 1e-12
-            # the shifts as a (rows, shifts) pair
-            pair = compute_psi(ss, beta, (np.flatnonzero(alpha), alpha[alpha != 0.0]))
-            assert pair.tobytes() == ours.tobytes()
+            # every row listed, most with a zero shift, gives the same bits
+            dense = np.sqrt(kw.w) * alpha
+            every = compute_psi(ss, kw, beta, (np.arange(sample.n), dense))
+            assert every.tobytes() == ours.tobytes()
 
     def test_a_dense_shift_array_raises_instead_of_being_read_as_offsets(self):
         """A dense array is refused whatever its length, even on a two-row sample,
@@ -138,19 +140,20 @@ class TestComputePsi:
         alpha = np.zeros(20)
         alpha[3] = 4.0
         with pytest.raises(ValueError):
-            compute_psi(ss, np.zeros(ss.base.p), alpha)
-        two, _ = prepare([1.0, 2.0], [1, 1])
+            compute_psi(ss, km_weights(ss), np.zeros(ss.base.p), alpha)
+        two, kw = prepare([1.0, 2.0], [1, 1])
         with pytest.raises(IndexError):
-            compute_psi(two, np.zeros(1), np.array([0.0, 1.0]))
+            compute_psi(two, kw, np.zeros(1), np.array([0.0, 1.0]))
 
     def test_tied_instances_match_double_loop(self):
         rng = np.random.default_rng(50)
         for _ in range(12):
             sample = tied_instance(rng, n=int(rng.integers(10, 30)))
             ss = sort_sample(sample)
+            kw = km_weights(ss)
             beta = rng.normal(size=sample.p)
             alpha = np.where(rng.random(sample.n) < 0.15, rng.normal(size=sample.n) * 4.0, 0.0)
-            ours = compute_psi(ss, beta, shift_pair(alpha))
+            ours = compute_psi(ss, kw, beta, shift_pair(alpha, kw))
             oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
             assert np.max(np.abs(ours - oracle)) < 1e-12
 
@@ -168,17 +171,18 @@ class TestComputePsi:
         assert np.all((failures > 0) & (failures < np.diff(ss.bounds)))
         beta = rng.normal(size=2)
         alpha = np.where(rng.random(n) < 0.15, rng.normal(size=n) * 4.0, 0.0)
-        ours = compute_psi(ss, beta, shift_pair(alpha))
+        kw = km_weights(ss)
+        ours = compute_psi(ss, kw, beta, shift_pair(alpha, kw))
         oracle = psi_double_loop(ss.base.y, ss.base.delta, ss.base.x, beta, alpha)
         assert np.max(np.abs(ours - oracle)) < 1e-12
 
     @settings(deadline=None, max_examples=150)
     @given(st.data())
     def test_every_used_tail_denominator_is_at_least_one_over_n(self, data):
-        """The denominators psi divides by, 1 - G(Y-) on every row and 1 - H on
-        every censored row below its replication's top group, are at least 1/n
-        and stored unfloored; 1 - H is +inf exactly on each replication's top
-        group, whose suffix sum is +0.0: heavy ties, all but one row censored,
+        """The denominators the weights and psi divide by, 1 - G(Y-) on every row
+        and 1 - H on every censored row below its replication's top group, are at
+        least 1/n and stored unfloored; 1 - H is +inf exactly on each replication's
+        top group, whose suffix sum is +0.0: heavy ties, all but one row censored,
         samples and blocks."""
         reps, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 40))
 
@@ -198,7 +202,7 @@ class TestComputePsi:
             ss = sort_sample(SurvivalSample(y=y[0], delta=delta[0], x=x[0]))
         else:
             ss = sort_sample(_adopt(SurvivalSample, y=y, delta=delta, x=x))
-        slot, denom_g, denom_h, _, _ = _tail_terms(ss)
+        slot, denom_h, _, _ = _tail_terms(ss)
         denom_h = denom_h.ravel()[slot]  # each group's 1 - H, read from its slot
         first, stop = ss.bounds[:-1], ss.bounds[1:]
         group = np.repeat(np.arange(first.size), stop - first)
@@ -209,36 +213,37 @@ class TestComputePsi:
         g_left = np.where(first % n == 0, 0.0, np.concatenate(([0.0], censoring_km(ss)[:-1])))
         surv_g = 1.0 - g_left[group]
         assert np.all(surv_g >= bound)
-        # psi divides by it on uncensored rows; +inf on censored rows multiplies by delta
-        assert np.array_equal(denom_g.ravel(), np.where(censored, np.inf, surv_g))
+        kw = km_weights(ss)  # divides delta by n (1 - G(Y-)), at least 1
+        assert np.isfinite(kw.w).all() and np.array_equal(kw.w.ravel() == 0.0, censored)
         assert np.all(denom_h[group[censored & ~top[group]]] >= bound)
         # 1 - H is 0 only on a replication's top group, where psi reads +inf
         assert np.array_equal(denom_h == np.inf, top)
         assert np.array_equal(denom_h[~top], (n - stop[~top] % n) / n)
-        assert np.isfinite(compute_psi(ss, np.zeros(1))).all()
+        assert np.isfinite(compute_psi(ss, kw, np.zeros(1))).all()
 
     def test_a_failed_fit_does_not_warn(self):
         """A NaN beta (a fit that failed) gives NaN influence vectors, silently,
         as a sample fitted alone raises before psi."""
-        ss, _ = prepare(np.arange(40.0), (np.arange(40) != 38).astype(int))
+        ss, kw = prepare(np.arange(40.0), (np.arange(40) != 38).astype(int))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            psi = compute_psi(ss, np.full(1, np.nan))
+            psi = compute_psi(ss, kw, np.full(1, np.nan))
         assert np.isnan(psi).all()
 
     def test_no_warning_on_clean_data(self):
         rng = np.random.default_rng(44)
         sample = random_instance(rng, n=30)
         ss = sort_sample(sample)
+        kw = km_weights(ss)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            compute_psi(ss, np.zeros(sample.p))
+            compute_psi(ss, kw, np.zeros(sample.p))
 
 
     def test_an_untied_sample_keeps_no_row_index_and_never_gathers(self, monkeypatch):
-        """Untied, psi's cached tail terms are four n-row float arrays, with no n-long
-        integer array, and psi gathers nothing; tied, they hold one slot per tie group,
-        whose row counts, read from ``bounds``, add up to n."""
+        """Untied, psi's cached tail terms are two n-row float arrays and the one-byte
+        censored mask, with no n-long integer array, and psi gathers nothing; tied, they
+        hold one slot per tie group, whose row counts, read from ``bounds``, add up to n."""
         raw = generate_sample(DgpConfig(n=20_000, mu=2.0, seed=3))
         ss = sort_sample(raw)
         assert ss.bounds.size == raw.n + 1
@@ -250,20 +255,21 @@ class TestComputePsi:
             tracemalloc.stop()
         assert not any(isinstance(a, np.ndarray) and a.dtype.kind in "iu" and a.size >= raw.n
                        for a in tails)
-        assert held <= 4.5 * raw.n * 8
-        beta = stute_fit(ss, km_weights(ss)).beta
-        want = compute_psi(ss, beta)
+        assert held <= 2.25 * raw.n * 8
+        kw = km_weights(ss)
+        beta = stute_fit(ss, kw).beta
+        want = compute_psi(ss, kw, beta)
 
         def refuse(*args, **kwargs):
             raise AssertionError("psi gathered on an untied sample")
 
         monkeypatch.setattr(np, "take", refuse)
         monkeypatch.setattr(np, "repeat", refuse)
-        assert compute_psi(ss, beta).tobytes() == want.tobytes()
+        assert compute_psi(ss, kw, beta).tobytes() == want.tobytes()
         monkeypatch.undo()
 
         tied = sort_sample(SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x))
-        slot, _, denom_h, _, _ = _tail_terms(tied)
+        slot, denom_h, _, _ = _tail_terms(tied)
         counts = np.diff(tied.bounds)  # each group's rows, which fill its slot
         assert counts.shape == slot.shape == denom_h.shape
         assert counts.sum() == raw.n and counts.dtype.kind == "i"
@@ -273,8 +279,8 @@ class TestSandwichCi:
     def test_penalized_sandwich_peaks_below_three_and_a_half_n_row_arrays(self):
         """With the tail terms and the bread already cached, the penalized fit's
         sandwich holds at most 2 (p, n) float arrays at its peak, on a tied n = 2e4
-        sample: each n-row temporary is dropped once it is spent, the shift is
-        unscaled on its nonzero rows only and the tied gathers are one n-row
+        sample: each n-row temporary is dropped once it is spent, the shifts are
+        read on their nonzero rows only and the tied gathers are one n-row
         array at a time."""
         raw = generate_sample(DgpConfig(n=20_000, mu=2.0, seed=3))
         sample = SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x)
@@ -294,9 +300,9 @@ class TestSandwichCi:
         """From the sort through the three sandwiches, a tied n = 1e5 cell holds at
         most 14.25 n-row float arrays at its peak: the sorted sample (y, a one-byte
         delta, x and the permutation: 4.1), the design (4), two fits' shifts,
-        psi's cached 1 - G(Y-) and censored mask (1.1) and psi's (p, n) buffer, in
-        whose last row the residual is built, with the tied gathers a fraction of a
-        row; the sandwich's shifted rows are offsets, not an n-row mask."""
+        psi's cached censored mask (0.1) and psi's (p, n) buffer, in whose last row
+        the weighted residual is built, with the tied gathers a fraction of a row;
+        the sandwich's shifted rows are offsets, not an n-row mask."""
         raw = generate_sample(DgpConfig(n=100_000, mu=2.0, seed=3))
         sample = SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x)
         tracemalloc.start()
@@ -348,7 +354,7 @@ class TestSandwichCi:
         ss, kw = prepare(y, np.ones(25, dtype=int), x)
         fit = stute_fit(ss, kw)
         inf = sandwich_ci(ss, kw, fit)
-        psi = compute_psi(ss, fit.beta)
+        psi = compute_psi(ss, kw, fit.beta)
         raw = psi.T @ psi / 25
         mean = psi.mean(axis=0)
         assert np.max(np.abs(inf.sigma_hat - (raw - np.outer(mean, mean)))) < 1e-12
@@ -428,12 +434,12 @@ class TestSandwichCi:
         got = {name: [float(v).hex() for v in np.ravel(getattr(inf, name))]
                for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper")}
         assert got == {
-            "sigma_hat": ["0x1.89f29551b41f0p+2", "0x1.40ee21be471b6p+2",
-                          "0x1.40ee21be471b6p+2", "0x1.1f8c13a2d907fp+2"],
-            "cov_beta": ["0x1.65f72df2bf4bdp-7", "-0x1.b04660fc6b5b4p-6",
-                         "-0x1.b04660fc6b5b4p-6", "0x1.291b266a53573p-4"],
-            "ci_lower": ["0x1.d1755ae3d800ap-1", "0x1.8335f8a8a0190p-4"],
-            "ci_upper": ["0x1.519d41cba283fp+0", "0x1.2677da9f8d7e5p+0"],
+            "sigma_hat": ["0x1.89f29551b41efp+2", "0x1.40ee21be471b4p+2",
+                          "0x1.40ee21be471b4p+2", "0x1.1f8c13a2d907dp+2"],
+            "cov_beta": ["0x1.65f72df2bf48cp-7", "-0x1.b04660fc6b584p-6",
+                         "-0x1.b04660fc6b584p-6", "0x1.291b266a5355bp-4"],
+            "ci_lower": ["0x1.d1755ae3d7ff9p-1", "0x1.8335f8a8a0318p-4"],
+            "ci_upper": ["0x1.519d41cba2830p+0", "0x1.2677da9f8d7f2p+0"],
         }
 
     def test_penalized_and_two_step_sandwiches_are_pinned_to_the_bit_on_a_tied_sample(self):
@@ -449,20 +455,20 @@ class TestSandwichCi:
                 for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper")} for fit in (pen, two)]
         assert got == [
             {
-                "sigma_hat": ["0x1.946c55f635c83p-1", "0x1.a65bc902adf8fp-2",
-                              "0x1.a65bc902adf8fp-2", "0x1.3f8b29e0b139ep-2"],
-                "cov_beta": ["0x1.aaf815df254a6p-9", "-0x1.6b0caa6db22a8p-8",
-                             "-0x1.6b0caa6db22a8p-8", "0x1.7967dbf7a340ep-7"],
-                "ci_lower": ["0x1.89dc809ecd4c3p-1", "0x1.96af5cbf622a0p-1"],
-                "ci_upper": ["0x1.fc690bd55a35bp-1", "0x1.3709b6af2b7bcp+0"],
+                "sigma_hat": ["0x1.946c55f635c8dp-1", "0x1.a65bc902adf9ep-2",
+                              "0x1.a65bc902adf9ep-2", "0x1.3f8b29e0b13aap-2"],
+                "cov_beta": ["0x1.aaf815df2548cp-9", "-0x1.6b0caa6db2297p-8",
+                             "-0x1.6b0caa6db2297p-8", "0x1.7967dbf7a3405p-7"],
+                "ci_lower": ["0x1.89dc809ecd4a2p-1", "0x1.96af5cbf622dfp-1"],
+                "ci_upper": ["0x1.fc690bd55a338p-1", "0x1.3709b6af2b7dap+0"],
             },
             {
-                "sigma_hat": ["0x1.92d0928453022p+0", "0x1.9aee77fff361cp-1",
-                              "0x1.9aee77fff361cp-1", "0x1.2fe8e3d9dd71dp-1"],
-                "cov_beta": ["0x1.3986a9c7b2251p-8", "-0x1.fa322235eb394p-8",
-                             "-0x1.fa322235eb394p-8", "0x1.edb5517a93594p-7"],
-                "ci_lower": ["0x1.8bbef96064ac1p-1", "0x1.d3cdff5889e3cp-1"],
-                "ci_upper": ["0x1.0b48277b506d7p+0", "0x1.651436badc730p+0"],
+                "sigma_hat": ["0x1.92d0928453025p+0", "0x1.9aee77fff361fp-1",
+                              "0x1.9aee77fff361fp-1", "0x1.2fe8e3d9dd71dp-1"],
+                "cov_beta": ["0x1.3986a9c7b2205p-8", "-0x1.fa322235eb317p-8",
+                             "-0x1.fa322235eb317p-8", "0x1.edb5517a93527p-7"],
+                "ci_lower": ["0x1.8bbef96064aa6p-1", "0x1.d3cdff5889e76p-1"],
+                "ci_upper": ["0x1.0b48277b506c1p+0", "0x1.651436badc73fp+0"],
             },
         ]
 
@@ -477,12 +483,12 @@ class TestSandwichCi:
         got = {name: [float(v).hex() for v in np.ravel(getattr(inf, name))]
                for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper")}
         assert got == {
-            "sigma_hat": ["0x1.87362ac879c62p+2", "0x1.3edc9209eb989p+2",
-                          "0x1.3edc9209eb989p+2", "0x1.1dd3fa66553d7p+2"],
-            "cov_beta": ["0x1.63ec15eadd633p-7", "-0x1.ae14fee714adcp-6",
-                         "-0x1.ae14fee714adcp-6", "0x1.27aa483eaed26p-4"],
-            "ci_lower": ["0x1.d1aed3fd9708cp-1", "0x1.7c7bec0158728p-4"],
-            "ci_upper": ["0x1.516d3ff007964p+0", "0x1.25643fa349d58p+0"],
+            "sigma_hat": ["0x1.87362ac879c5ap+2", "0x1.3edc9209eb982p+2",
+                          "0x1.3edc9209eb982p+2", "0x1.1dd3fa66553d0p+2"],
+            "cov_beta": ["0x1.63ec15eadd5cap-7", "-0x1.ae14fee714a63p-6",
+                         "-0x1.ae14fee714a63p-6", "0x1.27aa483eaece0p-4"],
+            "ci_lower": ["0x1.d1aed3fd970a8p-1", "0x1.7c7bec0158928p-4"],
+            "ci_upper": ["0x1.516d3ff007962p+0", "0x1.25643fa349d58p+0"],
         }
 
     def test_penalized_and_two_step_sandwiches_are_pinned_to_the_bit_on_an_untied_sample(self):
@@ -498,20 +504,20 @@ class TestSandwichCi:
                 for name in ("sigma_hat", "cov_beta", "ci_lower", "ci_upper")} for fit in (pen, two)]
         assert got == [
             {
-                "sigma_hat": ["0x1.9439ef701f41fp-1", "0x1.a5f6685c47cbap-2",
-                              "0x1.a5f6685c47cbap-2", "0x1.3f29316b80332p-2"],
-                "cov_beta": ["0x1.a9f3a41ce61d1p-9", "-0x1.6a1473d37c916p-8",
-                             "-0x1.6a1473d37c916p-8", "0x1.784b3d3b91af7p-7"],
-                "ci_lower": ["0x1.8a0b04bb1fb3bp-1", "0x1.963a62edaddffp-1"],
-                "ci_upper": ["0x1.fc749adb4db47p-1", "0x1.36a696274e725p+0"],
+                "sigma_hat": ["0x1.9439ef701f41fp-1", "0x1.a5f6685c47cc4p-2",
+                              "0x1.a5f6685c47cc4p-2", "0x1.3f29316b80338p-2"],
+                "cov_beta": ["0x1.a9f3a41ce6191p-9", "-0x1.6a1473d37c8ddp-8",
+                             "-0x1.6a1473d37c8ddp-8", "0x1.784b3d3b91abbp-7"],
+                "ci_lower": ["0x1.8a0b04bb1fb73p-1", "0x1.963a62edaddc4p-1"],
+                "ci_upper": ["0x1.fc749adb4db75p-1", "0x1.36a696274e6fep+0"],
             },
             {
-                "sigma_hat": ["0x1.8fc03365de1bap+0", "0x1.97e5ebe23a01dp-1",
-                              "0x1.97e5ebe23a01dp-1", "0x1.2dbede264e861p-1"],
-                "cov_beta": ["0x1.36e04aab99f4ep-8", "-0x1.f61a8a7fedc4cp-8",
-                             "-0x1.f61a8a7fedc4cp-8", "0x1.e9f3780541372p-7"],
-                "ci_lower": ["0x1.8be335ba6a95dp-1", "0x1.d3504f72c3253p-1"],
-                "ci_upper": ["0x1.0b0f05f8287bap+0", "0x1.645d2763bdde2p+0"],
+                "sigma_hat": ["0x1.8fc03365de1bbp+0", "0x1.97e5ebe23a01fp-1",
+                              "0x1.97e5ebe23a01fp-1", "0x1.2dbede264e863p-1"],
+                "cov_beta": ["0x1.36e04aab99f1fp-8", "-0x1.f61a8a7fedbfcp-8",
+                             "-0x1.f61a8a7fedbfcp-8", "0x1.e9f3780541325p-7"],
+                "ci_lower": ["0x1.8be335ba6a972p-1", "0x1.d3504f72c323fp-1"],
+                "ci_upper": ["0x1.0b0f05f8287bfp+0", "0x1.645d2763bddcep+0"],
             },
         ]
 

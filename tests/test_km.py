@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustaft import SurvivalSample, km_weights, sort_sample
+from robustaft import DgpConfig, SurvivalSample, generate_sample, km_weights, sort_sample
+from robustaft.data import _adopt
 from robustaft.km import lambda_rule
+from robustaft.simulation import _cell_seed, _draw
 from oracles import km_jump_weights
 
 
@@ -85,6 +87,21 @@ def test_oracle_equivalence_with_ties():
         kw = km_weights(ss)
         oracle = km_jump_weights(ss.base.y, ss.base.delta)
         assert np.max(np.abs(kw.w - oracle)) < 1e-12
+    # the weights come from the censoring KM, so they are checked against the event
+    # KM's jumps: within 1e-12 relative on every replication of a tied block and on a
+    # tied 2e4-row sample, and zero on both sides where the row is censored
+    draws = _draw(DgpConfig(n=500, mu=2.0), [_cell_seed(6, 0, r) for r in range(4)])
+    block = _adopt(SurvivalSample, y=np.round(draws.y, 1), delta=draws.delta, x=draws.x)
+    raw = generate_sample(DgpConfig(n=20_000, mu=2.0, seed=3))
+    tied = SurvivalSample(y=np.round(raw.y, 2), delta=raw.delta, x=raw.x)
+    for sample in (block, tied):
+        ss = sort_sample(sample)
+        assert ss.bounds.size - 1 < ss.base.delta.size // 5  # tied
+        w = km_weights(ss).w
+        for y, delta, got in zip(*(np.atleast_2d(a) for a in (ss.base.y, ss.base.delta, w))):
+            want = km_jump_weights(y, delta)
+            assert np.array_equal(got == 0.0, delta == 0) and np.array_equal(want == 0.0, delta == 0)
+            assert np.max(np.abs(got - want)[delta == 1] / want[delta == 1]) <= 1e-12
 
 
 @settings(deadline=None, max_examples=60)

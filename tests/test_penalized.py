@@ -170,10 +170,10 @@ class TestFitPenalized:
         raw = generate_sample(DgpConfig(n=2000, mu=2.0, seed=_cell_seed(11, 0, 0)))
         fit = fit_penalized(*prepare(raw))
         assert [float(v).hex() for v in fit.objective_trace] == [
-            "0x1.3e9abeebb90efp+0", "0x1.3bdae400d0820p+0", "0x1.3bc9a61b3ead1p+0",
-            "0x1.3bc8f8ade79eap+0", "0x1.3bc8ef626d216p+0", "0x1.3bc8eed41194cp+0",
-            "0x1.3bc8eecb44be0p+0", "0x1.3bc8eecab84a4p+0", "0x1.3bc8eecaaf83dp+0",
-            "0x1.3bc8eecaaef76p+0", "0x1.3bc8eecaaef06p+0",
+            "0x1.3e9abeebb90f4p+0", "0x1.3bdae400d0825p+0", "0x1.3bc9a61b3ead6p+0",
+            "0x1.3bc8f8ade79eep+0", "0x1.3bc8ef626d21ap+0", "0x1.3bc8eed411951p+0",
+            "0x1.3bc8eecb44be5p+0", "0x1.3bc8eecab84aap+0", "0x1.3bc8eecaaf842p+0",
+            "0x1.3bc8eecaaef7bp+0", "0x1.3bc8eecaaef0bp+0",
         ]
 
     def test_a_block_design_and_its_levels_are_read_only(self):
